@@ -16,7 +16,8 @@ base
 schemes
     Reset calendars: when copies are born and when they restart.
 mixture
-    The aggregation engine (eager and lazy bookkeeping).
+    The aggregation engine: one row per created copy, eager or lazy
+    row selection.
 evaluation
     Regret reports, switching bounds, brute-force path oracle.
 harness

@@ -5,29 +5,24 @@ of the outcomes seen so far.  Two are shipped: the Krichevsky-Trofimov
 add-half estimator for binary outcomes under log loss, and the running
 mean (follow-the-leader) for bounded outcomes under square loss.  Both
 admit a columnar form where many independent copies are stored as rows
-of one array and updated in lockstep; the mixture engine relies on it.
+of one array and updated in lockstep; the mixture engine requires it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 
 @dataclass
 class BaseState:
-    """One learner copy: its current prediction plus running statistics.
-
-    ``aux`` is an opaque slot for side information a custom learner may
-    want to carry; the shipped learners leave it None.
-    """
+    """One learner copy: its current prediction plus running statistics."""
 
     prediction: float
     stats: np.ndarray
     count: int = 0
-    aux: Any = None
 
 
 class KTEstimator:
@@ -186,9 +181,11 @@ _BASES: dict[str, Callable] = {
 def register_base(name: str, factory: Callable) -> None:
     """Register a base-learner factory for lookup by name.
 
-    The learner must expose ``loss_family``, ``init_state``, ``update``
-    and ``predict``; the columnar methods are optional (the engine falls
-    back to per-copy scalar calls without them).
+    The learner must expose ``loss_family``, the scalar interface
+    (``init_state``, ``update``, ``predict``), which the reference
+    replays and oracles use, and the columnar interface
+    (``state_width``, ``init_rows``, ``predict_rows``, ``update_rows``),
+    which the mixture engine requires.
     """
     if name in _BASES:
         raise ValueError(f"base learner {name!r} already registered")

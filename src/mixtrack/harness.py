@@ -218,7 +218,7 @@ def run_experiment(config: ExperimentConfig, write_files: bool = True):
     """Simulate one config; returns (summary dict, primary trace).
 
     With mode "both" the lazy and eager engines run side by side and
-    must agree: predictions within 1e-12 and identical restarter
+    must agree bit for bit on predictions, step losses and restarter
     periods, else the run fails.  The eager trace is the one reported.
     """
     scheme, loss, base = _build(config)
@@ -233,8 +233,9 @@ def run_experiment(config: ExperimentConfig, write_files: bool = True):
     if config.mode == "both":
         a, b = traces["lazy"], traces["eager"]
         divergence = float(np.max(np.abs(a.predictions - b.predictions)))
-        if divergence > 1e-12:
-            raise RuntimeError(f"lazy/eager disagree: max prediction gap {divergence}")
+        same = np.array_equal(a.predictions, b.predictions) and np.array_equal(a.step_losses, b.step_losses)
+        if not same:
+            raise RuntimeError(f"lazy/eager predictions or step losses differ (max prediction gap {divergence})")
         if not np.array_equal(a.jt_periods, b.jt_periods):
             raise RuntimeError("lazy/eager disagree on the designated restarter")
     trace = traces.get("eager", traces[modes[0]])
@@ -375,7 +376,7 @@ def verify(verbose: bool = True) -> int:
             summary, trace = run_experiment(cfg, write_files=False)
             cap_ok = summary["results"]["created_within_cap"]
             div = summary["results"]["lazy_eager_divergence"]
-            ok = cap_ok and div <= 1e-12
+            ok = cap_ok and div == 0.0
         except Exception as e:
             ok, div, cap_ok = False, math.nan, False
             if verbose:

@@ -38,7 +38,7 @@ def _as_mix(thetas, weights):
     if (w < 0.0).any():
         raise ValueError("mixture weights must be nonnegative")
     s = float(w.sum())
-    if abs(s - 1.0) > 1e-12:
+    if not (abs(s - 1.0) <= 1e-12):  # written so that a NaN sum fails
         raise ValueError(f"mixture weights must sum to 1 (got {s!r})")
     return th, w
 
@@ -85,7 +85,7 @@ class SquareLoss:
 
     def validate_prediction(self, theta) -> None:
         t = np.asarray(theta, dtype=float)
-        if (t < self.pred_low).any() or (t > self.pred_high).any():
+        if not ((t >= self.pred_low).all() and (t <= self.pred_high).all()):
             raise ValueError("square-loss prediction outside [-1, 1]")
 
     def validate_outcome(self, x: float) -> None:
@@ -108,7 +108,7 @@ class SquareLoss:
         th = np.asarray(thetas, dtype=float)
         xs = np.asarray(xs, dtype=float)
         self.validate_prediction(th)
-        if np.any(xs < -1.0) or np.any(xs > 1.0):
+        if not ((xs >= -1.0).all() and (xs <= 1.0).all()):
             raise ValueError("square-loss outcome outside [-1, 1]")
         return (th - xs) ** 2
 
@@ -157,7 +157,7 @@ class BernoulliLogLoss:
 
     def validate_prediction(self, theta) -> None:
         t = np.asarray(theta, dtype=float)
-        if (t < self.pred_low).any() or (t > self.pred_high).any():
+        if not ((t >= self.pred_low).all() and (t <= self.pred_high).all()):
             raise ValueError("probability prediction outside [margin, 1-margin]")
 
     def validate_outcome(self, x: float) -> None:
@@ -246,7 +246,7 @@ class ExpConcaveLoss:
 
     def validate_prediction(self, theta) -> None:
         t = np.asarray(theta, dtype=float)
-        if (t < self.pred_low).any() or (t > self.pred_high).any():
+        if not ((t >= self.pred_low).all() and (t <= self.pred_high).all()):
             raise ValueError("prediction outside the declared interval")
 
     def validate_outcome(self, x: float) -> None:

@@ -12,12 +12,17 @@ J_{t+1}.  Outgoing shares therefore sum to one for every copy, and a
 copy that restarts without being J_{t+1} is left with zero mass until
 it is next designated.
 
-Two bookkeeping modes produce identical numbers.  Eager materializes
-every copy the calendar has created, zero-mass rows included.  Lazy
-stores only rows carrying mass, materializing a copy when it is first
-designated as the restarter; reductions skip zero-mass rows in both
-modes, in the same creation order, so the float arithmetic agrees bit
-for bit.
+Every copy the calendar creates gets one row, appended in creation
+order, so a row's index is the copy's id.  The engine asks the calendar
+only for each round's births; J_{t+1} is read off the rows as the row of
+largest period among those whose runtime at t+1 is 1.
+
+``mode`` only picks the rows a round's base-learner work touches.
+Eager predicts and updates every row, zero-mass rows included.  Lazy
+touches only the rows carrying mass; a zero-mass row keeps stale
+statistics until it is next designated, which wipes them.  Weight
+reductions run over the massful rows in row order in both modes, so the
+numbers agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schemes import ExpertSpec
+from .schemes import ExpertSpec, runtime
 
 NEG_INF = -math.inf
+
+# stored period of a never-restarting copy: it outranks every finite
+# period, and age % NEVER == age for every reachable round
+NEVER = np.iinfo(np.int64).max
+
+COLUMNAR_METHODS = ("state_width", "init_rows", "predict_rows", "update_rows")
 
 
 def transition_weight(src_runtime: int, tgt_runtime: int, same_expert: bool, tgt_is_jt: bool) -> float:
@@ -53,7 +64,11 @@ def transition_weight(src_runtime: int, tgt_runtime: int, same_expert: bool, tgt
 
 
 def select_jt(scheme, t: int) -> ExpertSpec:
-    """The designated restarter at round t: largest period, then earliest start."""
+    """The designated restarter at round t: largest period, then earliest start.
+
+    Reference form of the rule, straight from the calendar; the engine
+    reads the same copy off its rows.
+    """
     resetters = scheme.resetting_at(t)
     if not resetters:
         raise RuntimeError(f"calendar defect: no copy restarts at round {t}")
@@ -128,15 +143,17 @@ class Mixture:
     Parameters
     ----------
     scheme : calendar object
-        Provides births_at / resetting_at.
+        Provides births_at, the only calendar call the engine makes.
     loss : loss family
         Provides evaluate / substitute / mixability.
     base : base learner
-        Must declare ``loss_family`` matching ``loss.name``.  Learners
-        exposing the columnar interface are updated as array rows; others
-        fall back to per-copy scalar calls.
+        Must declare ``loss_family`` matching ``loss.name`` and expose the
+        columnar interface (``state_width``, ``init_rows``,
+        ``predict_rows``, ``update_rows``): the copies' statistics are
+        rows of one array.
     mode : {"eager", "lazy"}
-        Row bookkeeping; the computed numbers are identical.
+        Which rows a round's base-learner work touches; the computed
+        numbers are identical.
     """
 
     def __init__(self, scheme, loss, base, mode: str = "eager"):
@@ -145,271 +162,190 @@ class Mixture:
         fam = getattr(base, "loss_family", None)
         if fam != loss.name:
             raise ValueError(f"base learner feeds {fam!r} but the loss is {loss.name!r}")
+        missing = [m for m in COLUMNAR_METHODS if not hasattr(base, m)]
+        if missing:
+            raise ValueError(f"base learner lacks the columnar methods {', '.join(missing)}")
         self.scheme = scheme
         self.loss = loss
         self.base = base
         self.mode = mode
-        self._columnar = all(
-            hasattr(base, m) for m in ("state_width", "init_rows", "predict_rows", "update_rows")
-        )
 
         births = sorted(scheme.births_at(1))
         if not births:
             raise RuntimeError("calendar defect: no copy is born at round 1")
 
-        cap = max(8, 2 * len(births))
-        self._p = np.empty(cap)  # period (inf allowed)
-        self._p_int = np.empty(cap, dtype=np.int64)  # 0 encodes inf
-        self._s = np.empty(cap, dtype=np.int64)
-        self._id = np.empty(cap, dtype=np.int64)
-        self._logw = np.empty(cap)
-        if self._columnar:
-            self._rows = np.empty((cap, base.state_width))
-            self._states = None
-        else:
-            self._rows = None
-            self._states = []
-        self._n = 0
-
+        # one row per created copy, in creation order: row index = copy id
+        self._specs: list[ExpertSpec] = []
+        self._period = np.empty(0, dtype=np.int64)
+        self._start = np.empty(0, dtype=np.int64)
+        self._logw = np.empty(0)
+        self._rows = np.empty((0, base.state_width))
         self.created = 0
-        self._id_of: dict[ExpertSpec, int] = {}
+        self._finite_periods = False
+
         self.t = 1
         self.work_total = 0
         self._log_tab = np.empty(0)
         self._stay_tab = np.empty(0)
-        self._finite_periods = False
 
-        k = len(births)
-        for spec in births:
-            self._register_birth(spec)
-            self._append_row(spec, math.log(1.0 / k))
-        self._jt = select_jt(scheme, 1)
+        self._append(births, math.log(1.0 / len(births)))
+        # every copy born at round 1 is at runtime 1
+        self._jt = self._restarter(np.arange(self.created), 1)
 
     # -- row storage -------------------------------------------------------
 
-    def _register_birth(self, spec: ExpertSpec) -> None:
-        self._id_of[spec] = self.created
-        self.created += 1
-        if not math.isinf(spec.period):
-            self._finite_periods = True
+    def _append(self, specs: list, logw: float) -> None:
+        """Add a row for each new copy, base statistics fresh."""
+        n = self.created
+        m = n + len(specs)
+        if m > self._logw.size:
+            cap = max(2 * self._logw.size, m, 8)
+            for name in ("_period", "_start", "_logw", "_rows"):
+                old = getattr(self, name)
+                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                grown[:n] = old[:n]
+                setattr(self, name, grown)
+        for i, spec in enumerate(specs, n):
+            finite = not math.isinf(spec.period)
+            self._finite_periods |= finite
+            self._period[i] = int(spec.period) if finite else NEVER
+            self._start[i] = spec.start
+        self._specs.extend(specs)
+        self._logw[n:m] = logw
+        self._rows[n:m] = self.base.init_rows(m - n)
+        self.created = m
 
-    def _ensure_capacity(self, extra: int) -> None:
-        need = self._n + extra
-        cap = self._logw.size
-        if need <= cap:
-            return
-        new = max(2 * cap, need)
-        for name in ("_p", "_logw"):
-            arr = getattr(self, name)
-            grown = np.empty(new)
-            grown[: self._n] = arr[: self._n]
-            setattr(self, name, grown)
-        for name in ("_p_int", "_s", "_id"):
-            arr = getattr(self, name)
-            grown = np.empty(new, dtype=np.int64)
-            grown[: self._n] = arr[: self._n]
-            setattr(self, name, grown)
-        if self._columnar:
-            grown = np.empty((new, self.base.state_width))
-            grown[: self._n] = self._rows[: self._n]
-            self._rows = grown
+    def _restarter(self, restarting: np.ndarray, t: int) -> int:
+        """Row of J_t: largest period among the rows at runtime 1 at round t.
 
-    def _append_row(self, spec: ExpertSpec, logw: float) -> None:
-        self._insert_row(self._n, spec, logw)
+        Rows of equal period were born in start order, so the first one
+        has the earliest start, as in ``select_jt``.
+        """
+        if restarting.size == 0:
+            raise RuntimeError(f"calendar defect: no copy restarts at round {t}")
+        return int(restarting[np.argmax(self._period[restarting])])
 
-    def _insert_row(self, pos: int, spec: ExpertSpec, logw: float) -> None:
-        self._ensure_capacity(1)
-        n = self._n
-        for arr in (self._p, self._p_int, self._s, self._id, self._logw):
-            arr[pos + 1 : n + 1] = arr[pos:n]
-        self._p[pos] = spec.period
-        self._p_int[pos] = 0 if math.isinf(spec.period) else int(spec.period)
-        self._s[pos] = spec.start
-        self._id[pos] = self._id_of[spec]
-        self._logw[pos] = logw
-        if self._columnar:
-            self._rows[pos + 1 : n + 1] = self._rows[pos:n]
-            self._rows[pos] = self.base.init_rows(1)[0]
-        else:
-            self._states.insert(pos, self.base.init_state())
-        self._n = n + 1
-
-    def _compress(self, keep: np.ndarray) -> None:
-        n = self._n
-        m = int(np.count_nonzero(keep))
-        if m == n:
-            return
-        for arr in (self._p, self._p_int, self._s, self._id, self._logw):
-            arr[:m] = arr[:n][keep]
-        if self._columnar:
-            self._rows[:m] = self._rows[:n][keep]
-        else:
-            self._states = [st for st, k in zip(self._states, keep) if k]
-        self._n = m
-
-    def _position(self, spec: ExpertSpec) -> int:
-        """Row index of ``spec``, or the insertion point if absent."""
-        target = self._id_of[spec]
-        return int(np.searchsorted(self._id[: self._n], target))
-
-    def _ensure_tables(self, hi: int) -> None:
+    def _log_of(self, values: np.ndarray) -> np.ndarray:
+        """log(values) by table lookup; grows the stay-share table alongside."""
+        hi = int(values.max())
         if hi >= self._log_tab.size:
             with np.errstate(divide="ignore"):
                 self._log_tab = np.log(np.arange(max(2 * self._log_tab.size, hi + 1, 64)))
                 # stay share log((u-1)/u); -inf at u=1 kills restarting rows
                 self._stay_tab = self._log_tab - np.concatenate(([math.inf], self._log_tab[:-1]))
                 self._stay_tab *= -1.0
-
-    def _log_of(self, values: np.ndarray) -> np.ndarray:
-        self._ensure_tables(int(values.max()) if values.size else 0)
         return self._log_tab[values]
 
     # -- introspection -----------------------------------------------------
 
     @property
     def live_count(self) -> int:
-        return int(np.count_nonzero(self._logw[: self._n] > NEG_INF))
+        return int(np.count_nonzero(self._logw[: self.created] > NEG_INF))
 
     @property
     def jt(self) -> ExpertSpec:
         """Designated restarter of the current round."""
-        return self._jt
+        return self._specs[self._jt]
 
     def live_table(self):
-        """Current pool as a list of (spec, id, log-weight, runtime) tuples."""
-        out = []
-        t = self.t
-        for i in range(self._n):
-            p = self._p[i]
-            spec = ExpertSpec(p if math.isinf(p) else int(p), int(self._s[i]))
-            u = (t - spec.start + 1) if math.isinf(p) else (t - spec.start) % int(p) + 1
-            out.append((spec, int(self._id[i]), float(self._logw[i]), int(u)))
-        return out
+        """Pool as (spec, id, log-weight, runtime) tuples.
+
+        Eager lists every created copy, lazy only the copies carrying mass.
+        """
+        logw = self._logw[: self.created]
+        ids = range(self.created) if self.mode == "eager" else np.flatnonzero(logw > NEG_INF)
+        return [
+            (self._specs[i], int(i), float(logw[i]), runtime(self.t, self._specs[i])) for i in ids
+        ]
 
     def posterior(self) -> dict:
         """Normalized weights over massful copies at the current round."""
-        n = self._n
-        logw = self._logw[:n]
-        fin = logw > NEG_INF
-        mx = np.max(logw[fin])
-        z = mx + math.log(float(np.sum(np.exp(logw[fin] - mx))))
-        out = {}
-        for i in np.nonzero(fin)[0]:
-            p = self._p[i]
-            spec = ExpertSpec(p if math.isinf(p) else int(p), int(self._s[i]))
-            out[spec] = math.exp(float(logw[i]) - z)
-        return out
+        logw = self._logw[: self.created]
+        live = np.flatnonzero(logw > NEG_INF)
+        lw = logw[live]
+        mx = lw.max()
+        z = mx + math.log(float(np.exp(lw - mx).sum()))
+        return {self._specs[i]: math.exp(float(logw[i]) - z) for i in live}
 
     # -- the round ---------------------------------------------------------
 
-    def _predictions(self) -> np.ndarray:
-        if self._columnar:
-            return self.base.predict_rows(self._rows[: self._n])
-        return np.array([self.base.predict(st) for st in self._states], dtype=float)
-
     def step(self, x: float) -> StepRecord:
         """Predict on round t, ingest outcome ``x``, advance to round t+1."""
-        t = self.t
-        n = self._n
-        self.work_total += n
-        work_now = n
+        t, n = self.t, self.created
+        x = float(x)
         logw = self._logw[:n]
         fin = logw > NEG_INF
-        all_fin = bool(fin.all())
+        live = slice(0, n) if fin.all() else np.flatnonzero(fin)
+        work = live if self.mode == "lazy" else slice(0, n)
+        rows = self._rows[work]
+        self.work_total += len(rows)
 
-        preds = self._predictions()
-        wsel = logw if all_fin else logw[fin]
-        post = np.exp(wsel - np.max(wsel))
-        post /= np.sum(post)
-        prediction = self.loss.substitute(preds if all_fin else preds[fin], post)
-        step_loss = self.loss.evaluate(prediction, float(x))
-        map_pos = int(np.argmax(logw))
-        map_id = int(self._id[map_pos])
-        live_now = n if all_fin else int(np.count_nonzero(fin))
-        created_now = self.created
+        preds = self.base.predict_rows(rows)
+        lw = logw[live]
+        post = np.exp(lw - lw.max())
+        post /= post.sum()
+        prediction = self.loss.substitute(preds if self.mode == "lazy" else preds[live], post)
+        step_loss = self.loss.evaluate(prediction, x)
+        map_id = int(np.argmax(logw))
+        jt_period = float(self._specs[self._jt].period)
 
-        # ingest: each copy absorbs its own loss
-        losses = np.asarray(self.loss.evaluate(preds, float(x)))
+        # ingest: each copy absorbs its own loss, its statistics the outcome
+        losses = np.asarray(self.loss.evaluate(preds, x))
         alpha = self.loss.mixability
-        logw -= losses if alpha == 1.0 else alpha * losses
+        logw[work] -= losses if alpha == 1.0 else alpha * losses
+        self.base.update_rows(rows, x)
+        if not isinstance(work, slice):
+            self._rows[work] = rows
 
-        drift = self._advance(float(x))
-        self.t = t + 1
+        drift = self._advance(live)
         return StepRecord(
             t=t,
             prediction=float(prediction),
-            outcome=float(x),
+            outcome=x,
             step_loss=float(step_loss),
-            jt_period=float(self._prev_jt.period),
-            live=live_now,
-            created=created_now,
-            work=work_now,
-            drift=float(drift),
+            jt_period=jt_period,
+            live=lw.size,
+            created=n,
+            work=len(rows),
+            drift=drift,
             map_id=map_id,
         )
 
-    def _advance(self, x: float) -> float:
-        """Route weights and base states from round t to round t+1."""
+    def _advance(self, live) -> float:
+        """Route weights from round t to round t+1 and wipe the restarters."""
+        n = self.created
         t1 = self.t + 1
-        self._prev_jt = self._jt
-
-        for spec in sorted(self.scheme.births_at(t1)):
-            self._register_birth(spec)
-            if self.mode == "eager":
-                self._append_row(spec, NEG_INF)
-
-        jt = select_jt(self.scheme, t1)
-        if self.mode == "lazy":
-            pos = self._position(jt)
-            if pos == self._n or self._id[pos] != self._id_of[jt]:
-                self._insert_row(pos, jt, NEG_INF)
-
-        n = self._n
-        logw = self._logw[:n]
-        fin = logw > NEG_INF
-        all_fin = bool(fin.all())
+        births = self.scheme.births_at(t1)
+        if births:
+            self._append(sorted(births), NEG_INF)
 
         # runtimes at the destination round; newborns come out at 1
-        age = t1 - self._s[:n]
-        p_int = self._p_int[:n]
+        age = t1 - self._start[: self.created]
         if self._finite_periods:
-            u1 = np.where(p_int == 0, age + 1, age % np.maximum(p_int, 1) + 1)
+            u1 = age % self._period[: self.created] + 1
+            restarting = np.flatnonzero(u1 == 1)
         else:
             u1 = age + 1
+            restarting = np.arange(n, self.created)
+        jt = self._restarter(restarting, t1)
 
-        log_u1 = self._log_of(u1)
-        contrib = logw - log_u1 if all_fin else logw[fin] - log_u1[fin]
-        cm = np.max(contrib)
+        logw = self._logw[: self.created]
+        u = u1[live]
+        contrib = logw[live] - self._log_of(u)
+        cm = contrib.max()
         if not np.isfinite(cm):
             raise RuntimeError("weight pool degenerated: no mass to route")
-        inflow = cm + math.log(float(np.sum(np.exp(contrib - cm))))
+        inflow = cm + math.log(float(np.exp(contrib - cm).sum()))
 
         # stayers keep (u-1)/u; a restarting copy (u=1) drops to zero mass
-        logw += self._stay_tab[u1]
+        logw[live] += self._stay_tab[u]
+        logw[jt] = inflow
+        self._rows[restarting] = self.base.init_rows(restarting.size)
 
-        jpos = self._position(jt)
-        logw[jpos] = inflow
-
-        # base statistics: survivors ingest the outcome, restarters wipe
-        if self._columnar:
-            self.base.update_rows(self._rows[:n], x)
-            reset = u1 == 1
-            if np.any(reset):
-                self._rows[:n][reset] = self.base.init_rows(int(np.count_nonzero(reset)))
-        else:
-            for i in range(n):
-                if u1[i] == 1:
-                    self._states[i] = self.base.init_state()
-                else:
-                    self._states[i] = self.base.update(self._states[i], x)
-
-        shift = float(np.max(logw))
+        shift = float(logw.max())
         logw -= shift
-
-        if self.mode == "lazy":
-            self._compress(logw > NEG_INF)
-
         self._jt = jt
+        self.t = t1
         return shift
 
     def run(self, xs) -> Trace:
@@ -417,8 +353,7 @@ class Mixture:
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             raise ValueError("empty outcome sequence")
-        recs = [self.step(float(x)) for x in xs]
-        id_to_spec = {i: spec for spec, i in self._id_of.items()}
+        recs = [self.step(x) for x in xs]
         return Trace(
             scheme_tag=self.scheme.tag,
             loss_name=self.loss.name,
@@ -433,7 +368,7 @@ class Mixture:
             work=np.array([r.work for r in recs], dtype=np.int64),
             drifts=np.array([r.drift for r in recs]),
             map_ids=np.array([r.map_id for r in recs], dtype=np.int64),
-            id_to_spec=id_to_spec,
+            id_to_spec=dict(enumerate(self._specs)),
         )
 
 

@@ -10,12 +10,29 @@ import math
 
 import numpy as np
 
+from mixtrack.base import BaseState
 from mixtrack.mixture import select_jt, transition_weight
 from mixtrack.schemes import runtime
 
 
 def default_base_name(loss_name):
     return {"bernoulli": "kt", "square": "running-mean"}[loss_name]
+
+
+class ConstantBase:
+    """Minimal custom learner: scalar interface only."""
+
+    name = "always-half"
+    loss_family = "bernoulli"
+
+    def init_state(self):
+        return BaseState(0.5, np.zeros(0), 0)
+
+    def predict(self, state):
+        return state.prediction
+
+    def update(self, state, x):
+        return BaseState(0.5, state.stats, state.count + 1)
 
 
 def dense_run(scheme, loss, base, xs, order="forward"):

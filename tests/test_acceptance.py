@@ -7,6 +7,7 @@ clock are asserted where the guarantee includes one.
 
 import math
 import time
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -126,7 +127,8 @@ def test_a3_exhaustive_path_certificates():
             base = make_base(default_base_name(loss_name))
             for T in range(1, 7):
                 for i in range(10):
-                    rng = np.random.default_rng(hash((tag, loss_name, T, i)) % 2**32)
+                    # crc32, not hash(): str hashes are salted per process
+                    rng = np.random.default_rng(zlib.crc32(repr((tag, loss_name, T, i)).encode()))
                     xs = bits(rng, T) if loss_name == "bernoulli" else rng.uniform(-1, 1, T)
                     rep = path_oracle(make_scheme(tag, horizon=8), loss, base, xs, tol=1e-9)
                     assert rep.satisfied, (tag, loss_name, T, i, rep.slack)
@@ -204,7 +206,6 @@ def test_a5_transition_rule_invariants():
 
 def test_a6_lazy_eager_agreement():
     T = 2**12
-    worst = 0.0
     for tag in ALL_SCHEMES:
         for seed in range(5):
             xs = bits(np.random.default_rng(600 + seed), T)
@@ -215,12 +216,11 @@ def test_a6_lazy_eager_agreement():
             for x in xs:
                 r_e = m_e.step(float(x))
                 r_l = m_l.step(float(x))
-                worst = max(worst, abs(r_e.prediction - r_l.prediction))
+                assert np.array_equal([r_e.prediction, r_e.step_loss], [r_l.prediction, r_l.step_loss])
                 assert m_e.jt == m_l.jt
-    assert worst <= 1e-12
     print(
         "[A6] lazy/eager agreement: PASS "
-        f"(3 schemes x 5 seeds at T=2^12, max prediction divergence {worst:.3e} <= 1e-12, "
+        f"(3 schemes x 5 seeds at T=2^12, predictions and step losses bitwise equal, "
         f"identical restarter streams)"
     )
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import ConstantBase
 from mixtrack.base import (
     KTEstimator,
     RunningMean,
@@ -132,26 +133,6 @@ class TestRestartLoss:
             restart_loss(RunningMean(), SquareLoss(), np.zeros(10), [4, 4])
 
 
-class _ConstantBase:
-    """Minimal custom learner: scalar interface only."""
-
-    name = "always-half"
-    loss_family = "bernoulli"
-
-    def init_state(self):
-        from mixtrack.base import BaseState
-
-        return BaseState(0.5, np.zeros(0), 0)
-
-    def predict(self, state):
-        return state.prediction
-
-    def update(self, state, x):
-        from mixtrack.base import BaseState
-
-        return BaseState(0.5, state.stats, state.count + 1)
-
-
 class TestRegistry:
     def test_builtin_lookup(self):
         assert make_base("kt").name == "kt"
@@ -162,7 +143,7 @@ class TestRegistry:
             make_base("perceptron")
 
     def test_register_and_duplicate(self):
-        register_base("always-half", _ConstantBase)
+        register_base("always-half", ConstantBase)
         assert make_base("always-half").loss_family == "bernoulli"
         with pytest.raises(ValueError):
-            register_base("always-half", _ConstantBase)
+            register_base("always-half", ConstantBase)

@@ -234,6 +234,37 @@ class TestWeightValidation:
             loss.substitute([0.1, 0.2], [1.2, -0.2])
 
 
+class TestNaNRejected:
+    """NaN compares false both ways, so every range check must fail on it."""
+
+    NAN = float("nan")
+
+    def test_square_prediction(self):
+        with pytest.raises(ValueError):
+            SquareLoss().substitute([self.NAN, 0.3], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            SquareLoss().evaluate(self.NAN, 0.0)
+
+    def test_bernoulli_prediction(self):
+        with pytest.raises(ValueError):
+            BernoulliLogLoss().substitute([self.NAN, 0.3], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            BernoulliLogLoss().evaluate(self.NAN, 1.0)
+
+    def test_exp_concave_prediction(self):
+        loss = ExpConcaveLoss("plain", 1.0, lambda th, x: (th - x) ** 2, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            loss.substitute([self.NAN, 0.3], [0.5, 0.5])
+
+    def test_square_outcome_pairs(self):
+        with pytest.raises(ValueError):
+            SquareLoss().evaluate_pairs([0.1, 0.2], [0.5, self.NAN])
+
+    def test_mixture_weights(self):
+        with pytest.raises(ValueError):
+            SquareLoss().substitute([0.1, 0.3], [self.NAN, 0.5])
+
+
 class TestRegistry:
     def test_builtin_lookup(self):
         assert make_loss("square").name == "square"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import default_base_name, dense_run
+from helpers import ConstantBase, default_base_name, dense_run
 from mixtrack.base import make_base
 from mixtrack.losses import make_loss
 from mixtrack.mixture import Mixture, init_mixture, select_jt, transition_weight
@@ -205,17 +205,43 @@ class TestTwoRoundWalkthrough:
         assert rec2.prediction == pytest.approx(SUBSTITUTE_HALF_HALF, abs=1e-12)
 
 
-class TestDeadCopies:
-    def dead_scheme(self):
-        # period-2 copy starting at round 2 resets only on even rounds, where a
-        # period-4 copy always outranks it: it is never designated, hence never
-        # carries mass
-        return SubScheme(PeriodSequence([1, 2, 4], [0, 1, 2], [0, 1, 0]))
+def dead_scheme():
+    # period-2 copy starting at round 2 resets only on even rounds, where a
+    # period-4 copy always outranks it: it is never designated, hence never
+    # carries mass
+    return SubScheme(PeriodSequence([1, 2, 4], [0, 1, 2], [0, 1, 0]))
 
+
+class _BirthsOnly:
+    """Calendar view that exposes births_at and nothing else."""
+
+    def __init__(self, scheme):
+        self.tag = scheme.tag
+        self.births_at = scheme.births_at
+
+
+class TestRestarterFromRows:
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    @pytest.mark.parametrize("calendar", ["lin", "log", "sub", "dead"])
+    def test_jt_matches_select_jt_every_round(self, calendar, mode):
+        T = 2**10
+
+        def scheme():
+            return dead_scheme() if calendar == "dead" else make_scheme(calendar, horizon=T + 1)
+
+        ref = scheme()
+        mix = Mixture(_BirthsOnly(scheme()), make_loss("square"), make_base("running-mean"), mode=mode)
+        for t, x in enumerate(stream_for("square", T, seed=4), start=1):
+            assert mix.jt == select_jt(ref, t)
+            mix.step(x)
+        assert mix.jt == select_jt(ref, T + 1)
+
+
+class TestDeadCopies:
     def test_never_designated_copy_stays_massless(self):
         xs = stream_for("square", 32, seed=7)
         loss, base = make_loss("square"), make_base("running-mean")
-        mix = Mixture(self.dead_scheme(), loss, base, mode="eager")
+        mix = Mixture(dead_scheme(), loss, base, mode="eager")
         trace = mix.run(xs)
         assert ExpertSpec(2.0, 2) not in set(trace.map_specs())
         dead = [lw for spec, _e, lw, _u in mix.live_table() if spec == ExpertSpec(2, 2)]
@@ -224,8 +250,8 @@ class TestDeadCopies:
     def test_lazy_never_materializes_dead_copy(self):
         xs = stream_for("square", 32, seed=7)
         loss, base = make_loss("square"), make_base("running-mean")
-        eager = Mixture(self.dead_scheme(), loss, base, mode="eager")
-        lazy = Mixture(self.dead_scheme(), loss, base, mode="lazy")
+        eager = Mixture(dead_scheme(), loss, base, mode="eager")
+        lazy = Mixture(dead_scheme(), loss, base, mode="lazy")
         tr_e, tr_l = eager.run(xs), lazy.run(xs)
         assert np.array_equal(tr_e.predictions, tr_l.predictions)
         lazy_specs = {spec for spec, _e, _w, _u in lazy.live_table()}
@@ -242,6 +268,10 @@ class TestConstruction:
     def test_loss_family_mismatch(self):
         with pytest.raises(ValueError):
             Mixture(LinScheme(), make_loss("square"), make_base("kt"))
+
+    def test_scalar_only_learner_rejected(self):
+        with pytest.raises(ValueError, match="init_rows"):
+            Mixture(LogScheme(), make_loss("bernoulli"), ConstantBase())
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
