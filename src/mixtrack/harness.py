@@ -173,13 +173,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write_chunks(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` through a temp file and a rename."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -187,31 +189,42 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def trace_csv(trace, oracle_steps) -> str:
-    """Render a run trace in the fixed CSV schema."""
-    lines = [
-        "t,outcome,prediction,step_loss,cum_loss,oracle_cum_loss,regret,jt_period,live_experts,created_experts"
-    ]
+def _atomic_write(path: str, text: str) -> None:
+    _atomic_write_chunks(path, (text,))
+
+
+CSV_HEADER = "t,outcome,prediction,step_loss,cum_loss,oracle_cum_loss,regret,jt_period,live_experts,created_experts"
+CSV_CHUNK_ROWS = 2048  # rows rendered at a time, so a long trace never sits in memory as text
+
+
+def _csv_chunks(trace, oracle_steps):
+    """The CSV of ``trace_csv``, header first, then at most CSV_CHUNK_ROWS rows per string."""
+    yield CSV_HEADER + "\n"
     cum = np.cumsum(trace.step_losses)
     ocum = np.cumsum(oracle_steps)
-    for i in range(trace.horizon):
-        lines.append(
-            ",".join(
-                (
-                    str(int(trace.ts[i])),
-                    _fmt(trace.outcomes[i]),
-                    _fmt(trace.predictions[i]),
-                    _fmt(trace.step_losses[i]),
-                    _fmt(cum[i]),
-                    _fmt(ocum[i]),
-                    _fmt(cum[i] - ocum[i]),
-                    _fmt(trace.jt_periods[i]),
-                    str(int(trace.live[i])),
-                    str(int(trace.created[i])),
-                )
-            )
+    for lo in range(0, trace.horizon, CSV_CHUNK_ROWS):
+        part = slice(lo, lo + CSV_CHUNK_ROWS)
+        c, o = cum[part], ocum[part]
+        cols = zip(
+            trace.ts[part].tolist(),
+            trace.outcomes[part].tolist(),
+            trace.predictions[part].tolist(),
+            trace.step_losses[part].tolist(),
+            c.tolist(),
+            o.tolist(),
+            (c - o).tolist(),
+            trace.jt_periods[part].tolist(),
+            trace.live[part].tolist(),
+            trace.created[part].tolist(),
         )
-    return "\n".join(lines) + "\n"
+        yield "".join(
+            f"{t},{x!r},{p!r},{s!r},{cl!r},{ol!r},{r!r},{j!r},{lv},{cr}\n" for t, x, p, s, cl, ol, r, j, lv, cr in cols
+        )
+
+
+def trace_csv(trace, oracle_steps) -> str:
+    """Render a run trace in the fixed CSV schema."""
+    return "".join(_csv_chunks(trace, oracle_steps))
 
 
 def run_experiment(config: ExperimentConfig, write_files: bool = True):
@@ -270,7 +283,7 @@ def run_experiment(config: ExperimentConfig, write_files: bool = True):
         name = config.run_name()
         csv_path = os.path.join(config.out_dir, name + ".csv")
         json_path = os.path.join(config.out_dir, name + ".json")
-        _atomic_write(csv_path, trace_csv(trace, oracle_step_losses(loss, xs, seg)))
+        _atomic_write_chunks(csv_path, _csv_chunks(trace, oracle_step_losses(loss, xs, seg)))
         summary["files"] = {"csv": csv_path, "json": json_path}
         _atomic_write(json_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary, trace

@@ -11,6 +11,13 @@ guarantee is
 for every outcome x, where theta_hat = substitute(thetas, weights).
 ``mixability_slack`` measures the left side minus the right side; it
 must never be negative beyond rounding noise.
+
+Each family also exposes its arithmetic as two unchecked kernels:
+``merge(thetas, weights)`` is the substitution rule and
+``pointwise(theta, x)`` the loss.  The public ``substitute`` and
+``evaluate`` validate their inputs and then call the kernels, so there
+is one arithmetic path; the mixture engine validates each round's
+inputs once itself and calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -49,19 +56,25 @@ def _logsumexp(a, b):
     Zero-weight entries are masked out and every maximal entry is split
     off the sum for precision.  Keep these steps and their order: they
     are those of the library log-sum-exp this replaces, and
-    tests/test_losses.py pins the two against each other.
+    tests/test_losses.py pins the two against each other.  A result that
+    is not finite is replaced by the direct log(sum(b * exp(a))) on the
+    unmasked input, as the library does: that is the case where the
+    maximal entries carry a subnormal weight and ``s /= m`` overflows.
     """
     # a NaN entry leaves m = 0; return NaN quietly, as the library did
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(b == 0.0, -np.inf, a)
-        a_max = a.max()
-        mask = a == a_max
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        masked = np.where(b == 0.0, -np.inf, a)
+        a_max = masked.max()
+        mask = masked == a_max
         m = (b * mask).sum()
-        a[mask] = -np.inf
-        s = (b * np.exp(a - a_max)).sum()
+        masked[mask] = -np.inf
+        s = (b * np.exp(masked - a_max)).sum()
         if s != 0.0:
             s /= m
-        return np.log1p(s) + np.log(m) + a_max
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log((b * np.exp(a)).sum())
+        return out
 
 
 class SquareLoss:
@@ -92,6 +105,10 @@ class SquareLoss:
         if not (-1.0 <= x <= 1.0):
             raise ValueError("square-loss outcome outside [-1, 1]")
 
+    def pointwise(self, theta, x: float):
+        """Unchecked loss of a float or float array ``theta`` on outcome ``x``."""
+        return (theta - x) ** 2
+
     def evaluate(self, theta, x: float):
         """Loss of prediction(s) ``theta`` on outcome ``x``.
 
@@ -100,7 +117,7 @@ class SquareLoss:
         self.validate_prediction(theta)
         self.validate_outcome(x)
         t = np.asarray(theta, dtype=float)
-        out = (t - x) ** 2
+        out = self.pointwise(t, x)
         return float(out) if np.isscalar(theta) or t.ndim == 0 else out
 
     def evaluate_pairs(self, thetas, xs) -> np.ndarray:
@@ -110,11 +127,10 @@ class SquareLoss:
         self.validate_prediction(th)
         if not ((xs >= -1.0).all() and (xs <= 1.0).all()):
             raise ValueError("square-loss outcome outside [-1, 1]")
-        return (th - xs) ** 2
+        return self.pointwise(th, xs)
 
-    def substitute(self, thetas, weights) -> float:
-        th, w = _as_mix(thetas, weights)
-        self.validate_prediction(th)
+    def merge(self, th: np.ndarray, w: np.ndarray) -> float:
+        """Unchecked substitution of in-domain ``th`` under weights ``w`` summing to 1."""
         hi = _logsumexp(-0.5 * (th - 1.0) ** 2, w)
         lo = _logsumexp(-0.5 * (th + 1.0) ** 2, w)
         val = 0.5 * float(hi - lo)
@@ -127,6 +143,11 @@ class SquareLoss:
                 raise ValueError(f"substitution overshoot {val!r} exceeds tolerance")
             val = self.pred_low
         return val
+
+    def substitute(self, thetas, weights) -> float:
+        th, w = _as_mix(thetas, weights)
+        self.validate_prediction(th)
+        return self.merge(th, w)
 
     def best_fixed(self, xs) -> float:
         """Hindsight-optimal constant prediction: the clipped mean."""
@@ -164,12 +185,16 @@ class BernoulliLogLoss:
         if x != 0.0 and x != 1.0:
             raise ValueError("binary outcome must be exactly 0 or 1")
 
+    def pointwise(self, theta, x: float):
+        """Unchecked loss of a float or float array ``theta`` on outcome ``x``."""
+        # x is a scalar, so only one branch of the loss is ever needed
+        return -np.log(theta) if x == 1.0 else -np.log1p(-theta)
+
     def evaluate(self, theta, x: float):
         self.validate_prediction(theta)
         self.validate_outcome(x)
         t = np.asarray(theta, dtype=float)
-        # x is a scalar, so only one branch of the loss is ever needed
-        out = -np.log(t) if x == 1.0 else -np.log1p(-t)
+        out = self.pointwise(t, x)
         return float(out) if np.isscalar(theta) or t.ndim == 0 else out
 
     def evaluate_pairs(self, thetas, xs) -> np.ndarray:
@@ -180,11 +205,15 @@ class BernoulliLogLoss:
             raise ValueError("binary outcome must be exactly 0 or 1")
         return np.where(xs == 1.0, -np.log(th), -np.log1p(-th))
 
+    def merge(self, th: np.ndarray, w: np.ndarray) -> float:
+        """Unchecked substitution: the weighted mean."""
+        # Convex combination of in-domain points cannot leave the domain.
+        return float(np.dot(w, th))
+
     def substitute(self, thetas, weights) -> float:
         th, w = _as_mix(thetas, weights)
         self.validate_prediction(th)
-        # Convex combination of in-domain points cannot leave the domain.
-        return float(np.dot(w, th))
+        return self.merge(th, w)
 
     def best_fixed(self, xs) -> float:
         """Empirical rate, pulled back inside the prediction domain."""
@@ -253,11 +282,15 @@ class ExpConcaveLoss:
         if self._outcome_check is not None and not self._outcome_check(x):
             raise ValueError("outcome rejected by the loss family")
 
+    def pointwise(self, theta, x: float):
+        """Unchecked loss of a float or float array ``theta`` on outcome ``x``."""
+        return np.asarray(self._eval_fn(theta, x), dtype=float)
+
     def evaluate(self, theta, x: float):
         self.validate_prediction(theta)
         self.validate_outcome(x)
         t = np.asarray(theta, dtype=float)
-        out = np.asarray(self._eval_fn(t, x), dtype=float)
+        out = self.pointwise(t, x)
         return float(out) if np.isscalar(theta) or t.ndim == 0 else out
 
     def evaluate_pairs(self, thetas, xs) -> np.ndarray:
@@ -268,10 +301,14 @@ class ExpConcaveLoss:
             out[i] = self.evaluate(float(th[i]), float(xs[i]))
         return out
 
+    def merge(self, th: np.ndarray, w: np.ndarray) -> float:
+        """Unchecked substitution: the weighted mean."""
+        return float(np.dot(w, th))
+
     def substitute(self, thetas, weights) -> float:
         th, w = _as_mix(thetas, weights)
         self.validate_prediction(th)
-        return float(np.dot(w, th))
+        return self.merge(th, w)
 
 
 def mixability_slack(loss, thetas, weights, x: float) -> float:
@@ -297,9 +334,13 @@ _LOSSES: dict[str, Callable] = {
 def register_loss(name: str, factory: Callable) -> None:
     """Register a loss factory under ``name`` for lookup by the harness.
 
-    ``factory()`` must return an object with the loss interface above
-    (name, mixability, pred_low/pred_high, evaluate, substitute, and the
-    two validators).
+    ``factory()`` must return an object with the loss interface above:
+    name, mixability, pred_low/pred_high, the two validators, the
+    checked ``evaluate`` and ``substitute``, and the unchecked kernels
+    ``pointwise(theta, x)`` and ``merge(thetas, weights)`` they call.
+    The mixture engine calls only the validators and the kernels, and
+    rejects a loss without kernels.  ``ExpConcaveLoss`` supplies all of
+    this for an exp-concave family.
     """
     if name in _LOSSES:
         raise ValueError(f"loss {name!r} already registered")

@@ -17,6 +17,11 @@ order, so a row's index is the copy's id.  The engine asks the calendar
 only for each round's births; J_{t+1} is read off the rows as the row of
 largest period among those whose runtime at t+1 is 1.
 
+A round checks its inputs once, before it changes any state: the
+outcome, the copies' predictions, and the merged prediction against the
+loss's domain.  It then calls the loss's unchecked kernels (``merge``,
+``pointwise``), so a step that raises leaves the mixture as it was.
+
 ``mode`` only picks the rows a round's base-learner work touches.
 Eager predicts and updates every row, zero-mass rows included.  Lazy
 touches only the rows carrying mass; a zero-mass row keeps stale
@@ -41,6 +46,21 @@ NEG_INF = -math.inf
 NEVER = np.iinfo(np.int64).max
 
 COLUMNAR_METHODS = ("state_width", "init_rows", "predict_rows", "update_rows")
+LOSS_KERNELS = ("merge", "pointwise")
+
+# Trace columns filled from each round's StepRecord, with their dtypes
+_COLUMNS = (
+    ("ts", "t", np.int64),
+    ("outcomes", "outcome", float),
+    ("predictions", "prediction", float),
+    ("step_losses", "step_loss", float),
+    ("jt_periods", "jt_period", float),
+    ("live", "live", np.int64),
+    ("created", "created", np.int64),
+    ("work", "work", np.int64),
+    ("drifts", "drift", float),
+    ("map_ids", "map_id", np.int64),
+)
 
 
 def transition_weight(src_runtime: int, tgt_runtime: int, same_expert: bool, tgt_is_jt: bool) -> float:
@@ -145,7 +165,11 @@ class Mixture:
     scheme : calendar object
         Provides births_at, the only calendar call the engine makes.
     loss : loss family
-        Provides evaluate / substitute / mixability.
+        Provides mixability, pred_low/pred_high, the validators
+        ``validate_outcome`` and ``validate_prediction``, and the
+        unchecked kernels ``merge`` and ``pointwise``; the engine calls
+        each validator once per round and then only the kernels.  A loss
+        without the kernels is rejected.
     base : base learner
         Must declare ``loss_family`` matching ``loss.name`` and expose the
         columnar interface (``state_width``, ``init_rows``,
@@ -165,6 +189,9 @@ class Mixture:
         missing = [m for m in COLUMNAR_METHODS if not hasattr(base, m)]
         if missing:
             raise ValueError(f"base learner lacks the columnar methods {', '.join(missing)}")
+        missing = [m for m in LOSS_KERNELS if not hasattr(loss, m)]
+        if missing:
+            raise ValueError(f"loss lacks the unchecked kernels {', '.join(missing)}")
         self.scheme = scheme
         self.loss = loss
         self.base = base
@@ -223,7 +250,7 @@ class Mixture:
         """
         if restarting.size == 0:
             raise RuntimeError(f"calendar defect: no copy restarts at round {t}")
-        return int(restarting[np.argmax(self._period[restarting])])
+        return int(restarting[self._period[restarting].argmax()])
 
     def _log_of(self, values: np.ndarray) -> np.ndarray:
         """log(values) by table lookup; grows the stay-share table alongside."""
@@ -273,29 +300,34 @@ class Mixture:
         """Predict on round t, ingest outcome ``x``, advance to round t+1."""
         t, n = self.t, self.created
         x = float(x)
+        loss = self.loss
+        loss.validate_outcome(x)
         logw = self._logw[:n]
         fin = logw > NEG_INF
-        live = slice(0, n) if fin.all() else np.flatnonzero(fin)
+        live = slice(0, n) if fin.all() else fin.nonzero()[0]
         work = live if self.mode == "lazy" else slice(0, n)
         rows = self._rows[work]
-        self.work_total += len(rows)
 
         preds = self.base.predict_rows(rows)
+        loss.validate_prediction(preds)
         lw = logw[live]
         post = np.exp(lw - lw.max())
         post /= post.sum()
-        prediction = self.loss.substitute(preds if self.mode == "lazy" else preds[live], post)
-        step_loss = self.loss.evaluate(prediction, x)
-        map_id = int(np.argmax(logw))
+        prediction = loss.merge(preds if self.mode == "lazy" else preds[live], post)
+        if not (loss.pred_low <= prediction <= loss.pred_high):  # written so that NaN fails
+            raise ValueError(f"merged prediction {prediction!r} outside [{loss.pred_low}, {loss.pred_high}]")
+        step_loss = loss.pointwise(prediction, x)
+        map_id = int(logw.argmax())
         jt_period = float(self._specs[self._jt].period)
 
         # ingest: each copy absorbs its own loss, its statistics the outcome
-        losses = np.asarray(self.loss.evaluate(preds, x))
-        alpha = self.loss.mixability
+        losses = loss.pointwise(preds, x)
+        alpha = loss.mixability
         logw[work] -= losses if alpha == 1.0 else alpha * losses
         self.base.update_rows(rows, x)
         if not isinstance(work, slice):
             self._rows[work] = rows
+        self.work_total += len(rows)
 
         drift = self._advance(live)
         return StepRecord(
@@ -323,7 +355,7 @@ class Mixture:
         age = t1 - self._start[: self.created]
         if self._finite_periods:
             u1 = age % self._period[: self.created] + 1
-            restarting = np.flatnonzero(u1 == 1)
+            restarting = (u1 == 1).nonzero()[0]
         else:
             u1 = age + 1
             restarting = np.arange(n, self.created)
@@ -333,7 +365,7 @@ class Mixture:
         u = u1[live]
         contrib = logw[live] - self._log_of(u)
         cm = contrib.max()
-        if not np.isfinite(cm):
+        if not math.isfinite(cm):
             raise RuntimeError("weight pool degenerated: no mass to route")
         inflow = cm + math.log(float(np.exp(contrib - cm).sum()))
 
@@ -353,22 +385,18 @@ class Mixture:
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             raise ValueError("empty outcome sequence")
-        recs = [self.step(x) for x in xs]
+        cols = {name: np.empty(xs.size, dtype=dt) for name, _f, dt in _COLUMNS}
+        fill = [(cols[name], field) for name, field, _dt in _COLUMNS]
+        for i, x in enumerate(xs.tolist()):
+            rec = self.step(x)
+            for col, field in fill:
+                col[i] = getattr(rec, field)
         return Trace(
             scheme_tag=self.scheme.tag,
             loss_name=self.loss.name,
             mode=self.mode,
-            ts=np.array([r.t for r in recs], dtype=np.int64),
-            outcomes=np.array([r.outcome for r in recs]),
-            predictions=np.array([r.prediction for r in recs]),
-            step_losses=np.array([r.step_loss for r in recs]),
-            jt_periods=np.array([r.jt_period for r in recs]),
-            live=np.array([r.live for r in recs], dtype=np.int64),
-            created=np.array([r.created for r in recs], dtype=np.int64),
-            work=np.array([r.work for r in recs], dtype=np.int64),
-            drifts=np.array([r.drift for r in recs]),
-            map_ids=np.array([r.map_id for r in recs], dtype=np.int64),
             id_to_spec=dict(enumerate(self._specs)),
+            **cols,
         )
 
 

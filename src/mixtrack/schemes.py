@@ -238,6 +238,8 @@ class SubScheme:
 
     def __init__(self, ladder: PeriodSequence | None = None):
         self.ladder = ladder if ladder is not None else PeriodSequence.from_params()
+        self._births: dict[int, list[ExpertSpec]] = {}  # start -> copies born there
+        self._tabled = 0  # rungs entered in the table
 
     def _rungs_reaching(self, t: int):
         """0-based rung indices whose starts can lie at or below ``t``."""
@@ -245,14 +247,20 @@ class SubScheme:
         return range(len(self.ladder.periods))
 
     def births_at(self, t: int) -> list[ExpertSpec]:
-        out = []
-        for i in self._rungs_reaching(t):
-            p = self.ladder.periods[i]
-            for s in self.ladder.rung_starts(i):
-                if s == t:
-                    out.append(ExpertSpec(p, s))
-        out.sort()
-        return out
+        """Copies born at ``t``, sorted, read off a start -> births table.
+
+        Rungs are append-only, so the table only takes in the rungs added
+        since the ladder last extended; periods rise with the rung, so each
+        entry stays sorted.  ``resetting_at`` keeps the scan.
+        """
+        rungs = self._rungs_reaching(t)
+        if self._tabled < len(rungs):
+            for i in rungs[self._tabled :]:
+                p = self.ladder.periods[i]
+                for s in self.ladder.rung_starts(i):
+                    self._births.setdefault(s, []).append(ExpertSpec(p, s))
+            self._tabled = len(rungs)
+        return list(self._births.get(t, ()))
 
     def resetting_at(self, t: int) -> list[ExpertSpec]:
         out = []
@@ -286,9 +294,16 @@ class SubScheme:
         return total
 
     def count_bound(self, T: int) -> float:
-        """Closed-form cap on the pool size: 1 + n_T * max quotient."""
-        if T < 2:
-            raise ValueError("pool bound needs T >= 2")
+        """Closed-form cap on the pool size: 1 + n_T * max quotient.
+
+        No rung has a period below 1, so at T = 1 the cap is the exact
+        count: the period-1 copy, plus rung 1's first copy when its offset
+        is 0 and it is born at round 1 too.
+        """
+        if T < 1:
+            raise ValueError("horizon must be >= 1")
+        if T == 1:
+            return float(self.expert_count(1))
         n_t = self.ladder.n_index(T)
         max_q = max(self.ladder.quotients[1 : n_t + 1])
         return float(1 + n_t * max_q)

@@ -1,18 +1,25 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixtrack.evaluation import oracle_comparators, oracle_step_losses
 from mixtrack.harness import (
+    CSV_CHUNK_ROWS,
     SWEEP_HEADER,
     ExperimentConfig,
     generate_stream,
     main,
     run_experiment,
     sweep,
+    trace_csv,
 )
+from mixtrack.losses import make_loss
 
 CSV_HEADER = "t,outcome,prediction,step_loss,cum_loss,oracle_cum_loss,regret,jt_period,live_experts,created_experts"
 
@@ -130,6 +137,33 @@ class TestRunExperiment:
         for c, o, g in zip(cum, ocum, regret):
             assert g == pytest.approx(c - o, abs=1e-12)
         assert summary["results"]["regret"] == pytest.approx(regret[-1], abs=1e-9)
+
+    def test_streamed_csv_matches_row_by_row_rendering(self, tmp_path):
+        # reference: the whole file joined from one formatted line per round
+        T = 2 * CSV_CHUNK_ROWS + 5
+        cfg = self.make_config(tmp_path, scheme="sub", loss="square", horizon=T,
+                               stream="piecewise-gaussian-clipped", segments={"count": 3, "params": [-0.5, 0.5]})
+        summary, trace = run_experiment(cfg)
+        xs = generate_stream(cfg)
+        loss = make_loss("square")
+        seg = oracle_comparators(loss, xs, [n for n, _ in cfg.resolved_segments()])
+        cum, ocum = np.cumsum(trace.step_losses), np.cumsum(oracle_step_losses(loss, xs, seg))
+        lines = [CSV_HEADER] + [
+            ",".join([str(int(trace.ts[i]))]
+                     + [repr(float(v)) for v in (trace.outcomes[i], trace.predictions[i], trace.step_losses[i],
+                                                 cum[i], ocum[i], cum[i] - ocum[i], trace.jt_periods[i])]
+                     + [str(int(trace.live[i])), str(int(trace.created[i]))])
+            for i in range(T)
+        ]
+        want = "\n".join(lines) + "\n"
+        assert Path(summary["files"]["csv"]).read_text() == want
+        assert trace_csv(trace, oracle_step_losses(loss, xs, seg)) == want
+
+    def test_horizon_one_on_every_calendar(self, tmp_path):
+        for scheme in ("lin", "log", "sub"):
+            summary, _ = run_experiment(self.make_config(tmp_path, scheme=scheme, horizon=1, segments=None))
+            assert summary["results"]["created_within_cap"]
+            assert summary["results"]["horizon"] == 1
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = self.make_config(tmp_path)
@@ -262,3 +296,16 @@ class TestCli:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
+
+    def test_sub_at_horizon_one_exits_0(self, tmp_path, capsys):
+        assert main(["run", "--scheme", "sub", "--horizon", "1", "--out", str(tmp_path)]) == 0
+        assert "pool 2" in capsys.readouterr().out
+
+    def test_package_runs_as_module(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "mixtrack", "verify"], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "all checks passed" in proc.stdout
+        assert "Warning" not in proc.stderr

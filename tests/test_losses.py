@@ -112,6 +112,30 @@ class TestLogSumExp:
         got = loss.substitute([-1.0, 1.0, 1.0], [0.2, 0.3, 0.5])
         assert got == pytest.approx(want, abs=1e-15)
 
+    def test_subnormal_weight_on_the_maximum(self):
+        # s / m overflows when the maximal entry's weight is subnormal; the
+        # direct sum takes over
+        assert SquareLoss().substitute([0.0, 0.5], [1.0, 2.4e-309]) == 0.0
+        a, b = np.array([-0.5, -0.125]), np.array([1.0, 2.4e-309])
+        assert _logsumexp(a, b) == np.log((b * np.exp(a)).sum())
+
+    def test_bitwise_equal_to_scipy_with_subnormal_weights(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(5309)
+        for i in range(3000):
+            k = int(rng.integers(1, 9))
+            a = -0.5 * (rng.uniform(-1, 1, k) + (1.0 if i % 2 else -1.0)) ** 2
+            if i % 3 == 0:
+                a[rng.random(k) < 0.5] = a.max()
+            b = rng.dirichlet(np.ones(k))
+            tiny = rng.random(k) < 0.5
+            b[tiny] = 10.0 ** -rng.uniform(308.0, 323.0, int(tiny.sum()))
+            if i % 5 == 0:
+                b[rng.integers(0, k)] = 0.0
+            with np.errstate(over="ignore"):  # the library warns where it falls back
+                got, ref = _logsumexp(a, b), special.logsumexp(a, b=b)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (a, b)
+
     def test_agrees_with_scipy_within_one_ulp(self):
         special = pytest.importorskip("scipy.special")
         rng = np.random.default_rng(2024)

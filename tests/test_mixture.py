@@ -1,12 +1,13 @@
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import ConstantBase, default_base_name, dense_run
-from mixtrack.base import make_base
-from mixtrack.losses import make_loss
+from mixtrack.base import RunningMean, make_base
+from mixtrack.losses import SquareLoss, make_loss
 from mixtrack.mixture import Mixture, init_mixture, select_jt, transition_weight
 from mixtrack.schemes import (
     ExpertSpec,
@@ -273,6 +274,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="init_rows"):
             Mixture(LogScheme(), make_loss("bernoulli"), ConstantBase())
 
+    def test_loss_without_kernels_rejected(self):
+        sq = SquareLoss()
+        checked_only = types.SimpleNamespace(
+            name="square", mixability=sq.mixability, pred_low=sq.pred_low, pred_high=sq.pred_high,
+            validate_prediction=sq.validate_prediction, validate_outcome=sq.validate_outcome,
+            evaluate=sq.evaluate, substitute=sq.substitute,
+        )
+        with pytest.raises(ValueError, match="merge, pointwise"):
+            Mixture(LogScheme(), checked_only, make_base("running-mean"))
+
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
             build("lin", "square").run([])
@@ -282,7 +293,72 @@ class TestConstruction:
         assert mix.mode == "lazy"
 
 
+class _SwitchableMean(RunningMean):
+    """Running mean that predicts outside [-1, 1] while ``broken`` is set."""
+
+    broken = False
+
+    def predict_rows(self, rows):
+        p = super().predict_rows(rows)
+        return p + 3.0 if self.broken else p
+
+
+class _NaNMergeLoss(SquareLoss):
+    """Square loss whose substitution yields NaN while ``broken`` is set."""
+
+    broken = False
+
+    def merge(self, th, w):
+        return math.nan if self.broken else super().merge(th, w)
+
+
+class TestFailedStepChangesNothing:
+    def snapshot(self, mix):
+        n = mix.created
+        return (mix.t, n, mix.work_total, mix.jt, mix._logw[:n].tobytes(), mix._rows[:n].tobytes(),
+                sorted(mix.posterior().items()))
+
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    @pytest.mark.parametrize("fault", ["bad outcome", "nan outcome", "learner out of domain", "nan merge"])
+    def test_state_and_later_rounds_unchanged(self, fault, mode):
+        T = 40
+        xs = stream_for("square", T, seed=8)
+        loss, base = _NaNMergeLoss(), _SwitchableMean()
+        mix = Mixture(make_scheme("sub", horizon=T + 1), loss, base, mode=mode)
+        recs = [mix.step(x) for x in xs[:20]]
+        before = self.snapshot(mix)
+        bad = {"bad outcome": 1.5, "nan outcome": math.nan}.get(fault, 0.25)
+        base.broken = fault == "learner out of domain"
+        loss.broken = fault == "nan merge"
+        with pytest.raises(ValueError):
+            mix.step(bad)
+        assert self.snapshot(mix) == before
+        base.broken = loss.broken = False
+        recs += [mix.step(x) for x in xs[20:]]
+        ref = build("sub", "square", mode=mode, horizon=T + 1).run(xs)
+        assert np.array_equal([r.prediction for r in recs], ref.predictions)
+        assert np.array_equal([r.step_loss for r in recs], ref.step_losses)
+        assert mix.work_total == ref.total_work
+
+
 class TestTrace:
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    def test_run_columns_equal_step_records(self, mode):
+        T = 50
+        xs = stream_for("bernoulli", T, seed=11)
+        mix = build("sub", "bernoulli", mode=mode, horizon=T + 1)
+        recs = [mix.step(x) for x in xs]
+        trace = build("sub", "bernoulli", mode=mode, horizon=T + 1).run(xs)
+        for col, field, dtype in (
+            ("ts", "t", np.int64), ("outcomes", "outcome", np.float64), ("predictions", "prediction", np.float64),
+            ("step_losses", "step_loss", np.float64), ("jt_periods", "jt_period", np.float64),
+            ("live", "live", np.int64), ("created", "created", np.int64), ("work", "work", np.int64),
+            ("drifts", "drift", np.float64), ("map_ids", "map_id", np.int64),
+        ):
+            got = getattr(trace, col)
+            assert got.dtype == dtype
+            assert got.tobytes() == np.array([getattr(r, field) for r in recs], dtype=dtype).tobytes()
+
     def test_columns_are_consistent(self):
         T = 64
         xs = stream_for("bernoulli", T, seed=2)

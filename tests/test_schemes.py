@@ -199,9 +199,29 @@ class TestSubScheme:
             assert sorted(dbl.births_at(t)) == sorted(log.births_at(t))
             assert sorted(dbl.resetting_at(t)) == sorted(log.resetting_at(t))
 
-    def test_bound_needs_two_rounds(self):
+    def test_bound_at_one_round(self):
+        # the period-1 copy and rung 1's first copy (offset 0) are both born at round 1
+        assert self.sch.expert_count(1) == len(self.sch.births_at(1)) == 2
+        assert self.sch.count_bound(1) == 2
+        assert SubScheme(PeriodSequence.doubling()).count_bound(1) == 1
         with pytest.raises(ValueError):
-            self.sch.count_bound(1)
+            self.sch.count_bound(0)
+
+    @pytest.mark.parametrize(
+        "ladder",
+        [lambda: PeriodSequence.from_params(), lambda: PeriodSequence.from_params(0.8, 0.7, 1.2),
+         lambda: PeriodSequence.from_params(1.2, 0.4, 1.0), lambda: PeriodSequence.doubling()],
+        ids=["default", "steep", "flat", "doubling"],
+    )
+    def test_births_table_matches_rescan(self, ladder):
+        # the ladder starts short and extends while the table is in use
+        sch, lad = SubScheme(ladder()), ladder()
+        for t in range(1, 2**12 + 1):
+            lad.extend_past(t)
+            want = sorted(
+                ExpertSpec(lad.periods[i], s) for i in range(len(lad.periods)) for s in lad.rung_starts(i) if s == t
+            )
+            assert sch.births_at(t) == want
 
 
 class TestMakeScheme:
