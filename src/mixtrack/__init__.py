@@ -10,14 +10,15 @@ restarts without knowing the switch times in advance.
 Modules
 -------
 losses
-    Mixable loss families: evaluation, substitution, mixability slack.
+    Mixable loss families: checked evaluation and substitution over
+    unchecked kernels, mixability slack.
 base
     Constant-predictor base learners with logarithmic static regret.
 schemes
     Reset calendars: when copies are born and when they restart.
 mixture
     The aggregation engine: one row per created copy, eager or lazy
-    row selection.
+    row selection, one StepRecord per round and a Trace of columns.
 evaluation
     Regret reports, switching bounds, brute-force path oracle.
 harness
@@ -41,7 +42,7 @@ from .schemes import (
     SubScheme,
     make_scheme,
 )
-from .mixture import Mixture, init_mixture, select_jt, transition_weight
+from .mixture import Mixture, select_jt, transition_weight
 from .evaluation import (
     RegretReport,
     Segmentation,
@@ -70,7 +71,6 @@ __all__ = [
     "SubScheme",
     "dynamic_regret",
     "generate_stream",
-    "init_mixture",
     "make_base",
     "make_loss",
     "make_scheme",

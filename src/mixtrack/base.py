@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .losses import BERNOULLI_MARGIN
+
 
 @dataclass
 class BaseState:
@@ -22,7 +24,6 @@ class BaseState:
 
     prediction: float
     stats: np.ndarray
-    count: int = 0
 
 
 class KTEstimator:
@@ -31,22 +32,22 @@ class KTEstimator:
     Predicts (k + 1/2) / (n + 1) after seeing k ones in n outcomes, so
     the first prediction is 1/2.  Against log loss its regret to the
     best constant probability is at most 0.5*log(n) + 1.  Predictions
-    are clipped into the loss margin, which only matters for run
-    lengths beyond ~1/(2*margin).
+    are clipped into [BERNOULLI_MARGIN, 1 - BERNOULLI_MARGIN], the
+    default log-loss domain, which only matters for run lengths beyond
+    ~1/(2*BERNOULLI_MARGIN).
     """
 
     name = "kt"
     loss_family = "bernoulli"
     state_width = 2  # columns: ones seen, outcomes seen
 
-    def __init__(self, margin: float = 1e-6):
-        self.pred_low = margin
-        self.pred_high = 1.0 - margin
+    pred_low = BERNOULLI_MARGIN
+    pred_high = 1.0 - BERNOULLI_MARGIN
 
     # -- scalar interface ------------------------------------------------
 
     def init_state(self) -> BaseState:
-        return BaseState(0.5, np.zeros(2), 0)
+        return BaseState(0.5, np.zeros(2))
 
     def predict(self, state: BaseState) -> float:
         return state.prediction
@@ -57,7 +58,7 @@ class KTEstimator:
         stats = state.stats + np.array([x, 1.0])
         pred = (stats[0] + 0.5) / (stats[1] + 1.0)
         pred = min(max(pred, self.pred_low), self.pred_high)
-        return BaseState(float(pred), stats, state.count + 1)
+        return BaseState(float(pred), stats)
 
     # -- columnar interface ----------------------------------------------
 
@@ -91,7 +92,7 @@ class RunningMean:
     pred_high = 1.0
 
     def init_state(self) -> BaseState:
-        return BaseState(0.0, np.zeros(2), 0)
+        return BaseState(0.0, np.zeros(2))
 
     def predict(self, state: BaseState) -> float:
         return state.prediction
@@ -101,7 +102,7 @@ class RunningMean:
             raise ValueError("outcome outside [-1, 1]")
         stats = state.stats + np.array([x, 1.0])
         pred = min(max(stats[0] / stats[1], self.pred_low), self.pred_high)
-        return BaseState(float(pred), stats, state.count + 1)
+        return BaseState(float(pred), stats)
 
     def init_rows(self, n: int) -> np.ndarray:
         return np.zeros((n, 2))

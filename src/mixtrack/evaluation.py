@@ -92,7 +92,6 @@ class RegretReport:
     switch_cap: Optional[float]
     created: int
     total_work: int
-    trace: object
 
     def __str__(self):
         cap = "n/a" if self.switch_cap is None else f"{self.switch_cap:g}"
@@ -122,7 +121,6 @@ def dynamic_regret(trace, seg: Segmentation, loss, scheme=None) -> RegretReport:
         switch_cap=cap,
         created=int(trace.created[-1]),
         total_work=trace.total_work,
-        trace=trace,
     )
 
 
@@ -274,7 +272,6 @@ class ComplexityAudit:
     count_cap: float
     created_within_cap: bool
     total_work: int
-    max_step_work: int
     work_within_pool: bool
 
 
@@ -292,6 +289,5 @@ def complexity_audit(trace, scheme) -> ComplexityAudit:
         count_cap=cap,
         created_within_cap=created <= cap,
         total_work=trace.total_work,
-        max_step_work=int(np.max(trace.work)),
         work_within_pool=bool(np.all(trace.work <= trace.created)),
     )

@@ -23,8 +23,7 @@ import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,24 +37,6 @@ from .schemes import make_scheme
 DEFAULT_BASE_FOR = {"square": "running-mean", "bernoulli": "kt"}
 
 STREAMS = ("piecewise-bernoulli", "piecewise-gaussian-clipped", "adversarial-alternating")
-
-_CONFIG_KEYS = {
-    "scheme",
-    "loss",
-    "base",
-    "horizon",
-    "seed",
-    "mode",
-    "stream",
-    "segments",
-    "sigma",
-    "sub_a",
-    "sub_b",
-    "sub_c",
-    "out_dir",
-    "label",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -128,6 +109,9 @@ class ExperimentConfig:
         return f"{self.scheme}_{self.loss}_T{self.horizon}_seed{self.seed}"
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
 def generate_stream(config: ExperimentConfig) -> np.ndarray:
     """Outcome sequence for a config; deterministic in the seed."""
     segments = config.resolved_segments()
@@ -174,10 +158,20 @@ def _fmt(x) -> str:
 
 
 def _atomic_write_chunks(path: str, chunks) -> None:
-    """Write the strings of ``chunks`` to ``path`` through a temp file and a rename."""
+    """Write the strings of ``chunks`` to ``path`` through a temp file and a rename.
+
+    The temp file is created with mode 0o666, so the umask applies as it
+    does for ``open()``.
+    """
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    while True:
+        tmp = os.path.join(d, ".tmp-" + os.urandom(8).hex())
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as f:
             for chunk in chunks:
@@ -289,7 +283,17 @@ def run_experiment(config: ExperimentConfig, write_files: bool = True):
     return summary, trace
 
 
-SWEEP_HEADER = "scheme,loss,T,S,seed,regret,regret_per_s_logts,regret_per_s_log2ts,created,work,status"
+SWEEP_KEYS = ("scheme", "loss", "T", "S", "seed", "regret", "regret_per_s_logts", "regret_per_s_log2ts",
+              "created", "work", "status")
+SWEEP_HEADER = ",".join(SWEEP_KEYS)
+
+
+def _sweep_cell(key: str, v) -> str:
+    if v is None:
+        return ""
+    if key == "status":
+        return '"' + v.replace('"', "'") + '"'
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def sweep(config: ExperimentConfig, grid: dict, write_files: bool = True) -> list:
@@ -299,9 +303,9 @@ def sweep(config: ExperimentConfig, grid: dict, write_files: bool = True) -> lis
     scheme, horizon, seed).  Failures are isolated per row.  Returns the
     row dicts; with an out_dir also writes ``sweep.csv``.
     """
-    keys = sorted(grid)
-    if not keys or any(not grid[k] for k in keys):
+    if not isinstance(grid, dict) or not grid or any(not isinstance(v, (list, tuple)) or not v for v in grid.values()):
         raise ValueError("sweep grid must map fields to nonempty lists")
+    keys = sorted(grid)
     combos = [{}]
     for k in keys:
         combos = [dict(c, **{k: v}) for c in combos for v in grid[k]]
@@ -312,7 +316,8 @@ def sweep(config: ExperimentConfig, grid: dict, write_files: bool = True) -> lis
         d = dict(base_dict)
         d.update(combo)
         d["out_dir"] = None
-        row = {"scheme": d["scheme"], "loss": d["loss"], "T": int(d["horizon"]), "seed": int(d["seed"])}
+        row = dict.fromkeys(SWEEP_KEYS)
+        row.update(scheme=d["scheme"], loss=d["loss"], T=int(d["horizon"]), seed=int(d["seed"]))
         try:
             cfg = ExperimentConfig.from_dict(d)
             summary, _ = run_experiment(cfg, write_files=False)
@@ -331,33 +336,14 @@ def sweep(config: ExperimentConfig, grid: dict, write_files: bool = True) -> lis
                 status="ok",
             )
         except Exception as e:  # keep the sweep alive, mark the row
-            row.update(S=None, regret=None, regret_per_s_logts=None, regret_per_s_log2ts=None,
-                       created=None, work=None, status=f"error: {e}")
+            row["status"] = f"error: {e}"
         rows.append(row)
 
     if not any(r["status"] == "ok" for r in rows):
         raise RuntimeError("every sweep row failed")
 
     if write_files and config.out_dir:
-        lines = [SWEEP_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r["scheme"]),
-                        str(r["loss"]),
-                        str(r["T"]),
-                        "" if r["S"] is None else str(r["S"]),
-                        str(r["seed"]),
-                        "" if r["regret"] is None else _fmt(r["regret"]),
-                        "" if r["regret_per_s_logts"] is None else _fmt(r["regret_per_s_logts"]),
-                        "" if r["regret_per_s_log2ts"] is None else _fmt(r["regret_per_s_log2ts"]),
-                        "" if r["created"] is None else str(r["created"]),
-                        "" if r["work"] is None else str(r["work"]),
-                        '"' + r["status"].replace('"', "'") + '"',
-                    ]
-                )
-            )
+        lines = [SWEEP_HEADER] + [",".join(_sweep_cell(k, r[k]) for k in SWEEP_KEYS) for r in rows]
         _atomic_write(os.path.join(config.out_dir, "sweep.csv"), "\n".join(lines) + "\n")
     return rows
 
@@ -407,25 +393,15 @@ def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path) as f:
-        return json.load(f)
+        d = json.load(f)
+    if not isinstance(d, dict):
+        raise ValueError(f"config {path} must hold a JSON object, not {type(d).__name__}")
+    return d
 
 
 def _apply_overrides(d: dict, args: argparse.Namespace) -> dict:
-    for key, attr in (
-        ("scheme", "scheme"),
-        ("loss", "loss"),
-        ("base", "base"),
-        ("horizon", "horizon"),
-        ("seed", "seed"),
-        ("mode", "mode"),
-        ("sub_a", "sub_a"),
-        ("sub_b", "sub_b"),
-        ("sub_c", "sub_c"),
-        ("out_dir", "out"),
-    ):
-        v = getattr(args, attr, None)
-        if v is not None:
-            d[key] = v
+    """Overlay the command-line flags that were given and name config fields."""
+    d.update((k, v) for k, v in vars(args).items() if v is not None and k in _CONFIG_KEYS)
     return d
 
 
@@ -444,7 +420,7 @@ def main(argv=None) -> int:
         p.add_argument("--horizon", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--mode", choices=("lazy", "eager", "both"))
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
     p_run = sub.add_parser("run", help="simulate one configuration")
     add_common(p_run)
@@ -456,12 +432,10 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return verify()
 
-    raw = _load_config(args.config)
-    grid = raw.pop("sweep", None)
-    d = _apply_overrides(raw, args)
-
     try:
-        config = ExperimentConfig.from_dict(d)
+        raw = _load_config(args.config)
+        grid = raw.pop("sweep", None)
+        config = ExperimentConfig.from_dict(_apply_overrides(raw, args))
         if args.command == "run":
             summary, _ = run_experiment(config)
             res = summary["results"]

@@ -50,6 +50,36 @@ def _as_mix(thetas, weights):
     return th, w
 
 
+# Written once and bound by name in each loss class body (``evaluate =
+# _evaluate``), so every class holds them in its own namespace, where
+# per-class patching such as perfbench/tracer.py finds them
+
+
+def _evaluate(self, theta, x: float):
+    """Loss of prediction(s) ``theta`` on outcome ``x``, both validated.
+
+    ``theta`` may be a scalar or an array; the return type matches.
+    """
+    self.validate_prediction(theta)
+    self.validate_outcome(x)
+    t = np.asarray(theta, dtype=float)
+    out = self.pointwise(t, x)
+    return float(out) if np.isscalar(theta) or t.ndim == 0 else out
+
+
+def _substitute(self, thetas, weights) -> float:
+    """Validate a weighted prediction set, then merge it."""
+    th, w = _as_mix(thetas, weights)
+    self.validate_prediction(th)
+    return self.merge(th, w)
+
+
+def _mean_merge(self, th: np.ndarray, w: np.ndarray) -> float:
+    """Unchecked substitution: the weighted mean."""
+    # Convex combination of in-domain points cannot leave the domain.
+    return float(np.dot(w, th))
+
+
 def _logsumexp(a, b):
     """log(sum(b * exp(a))) for equal-length 1-d float arrays, b >= 0.
 
@@ -109,16 +139,7 @@ class SquareLoss:
         """Unchecked loss of a float or float array ``theta`` on outcome ``x``."""
         return (theta - x) ** 2
 
-    def evaluate(self, theta, x: float):
-        """Loss of prediction(s) ``theta`` on outcome ``x``.
-
-        ``theta`` may be a scalar or an array; the return type matches.
-        """
-        self.validate_prediction(theta)
-        self.validate_outcome(x)
-        t = np.asarray(theta, dtype=float)
-        out = self.pointwise(t, x)
-        return float(out) if np.isscalar(theta) or t.ndim == 0 else out
+    evaluate = _evaluate
 
     def evaluate_pairs(self, thetas, xs) -> np.ndarray:
         """Elementwise losses for aligned prediction/outcome arrays."""
@@ -144,10 +165,7 @@ class SquareLoss:
             val = self.pred_low
         return val
 
-    def substitute(self, thetas, weights) -> float:
-        th, w = _as_mix(thetas, weights)
-        self.validate_prediction(th)
-        return self.merge(th, w)
+    substitute = _substitute
 
     def best_fixed(self, xs) -> float:
         """Hindsight-optimal constant prediction: the clipped mean."""
@@ -190,12 +208,7 @@ class BernoulliLogLoss:
         # x is a scalar, so only one branch of the loss is ever needed
         return -np.log(theta) if x == 1.0 else -np.log1p(-theta)
 
-    def evaluate(self, theta, x: float):
-        self.validate_prediction(theta)
-        self.validate_outcome(x)
-        t = np.asarray(theta, dtype=float)
-        out = self.pointwise(t, x)
-        return float(out) if np.isscalar(theta) or t.ndim == 0 else out
+    evaluate = _evaluate
 
     def evaluate_pairs(self, thetas, xs) -> np.ndarray:
         th = np.asarray(thetas, dtype=float)
@@ -205,15 +218,9 @@ class BernoulliLogLoss:
             raise ValueError("binary outcome must be exactly 0 or 1")
         return np.where(xs == 1.0, -np.log(th), -np.log1p(-th))
 
-    def merge(self, th: np.ndarray, w: np.ndarray) -> float:
-        """Unchecked substitution: the weighted mean."""
-        # Convex combination of in-domain points cannot leave the domain.
-        return float(np.dot(w, th))
+    merge = _mean_merge
 
-    def substitute(self, thetas, weights) -> float:
-        th, w = _as_mix(thetas, weights)
-        self.validate_prediction(th)
-        return self.merge(th, w)
+    substitute = _substitute
 
     def best_fixed(self, xs) -> float:
         """Empirical rate, pulled back inside the prediction domain."""
@@ -286,12 +293,7 @@ class ExpConcaveLoss:
         """Unchecked loss of a float or float array ``theta`` on outcome ``x``."""
         return np.asarray(self._eval_fn(theta, x), dtype=float)
 
-    def evaluate(self, theta, x: float):
-        self.validate_prediction(theta)
-        self.validate_outcome(x)
-        t = np.asarray(theta, dtype=float)
-        out = self.pointwise(t, x)
-        return float(out) if np.isscalar(theta) or t.ndim == 0 else out
+    evaluate = _evaluate
 
     def evaluate_pairs(self, thetas, xs) -> np.ndarray:
         th = np.asarray(thetas, dtype=float)
@@ -301,14 +303,9 @@ class ExpConcaveLoss:
             out[i] = self.evaluate(float(th[i]), float(xs[i]))
         return out
 
-    def merge(self, th: np.ndarray, w: np.ndarray) -> float:
-        """Unchecked substitution: the weighted mean."""
-        return float(np.dot(w, th))
+    merge = _mean_merge
 
-    def substitute(self, thetas, weights) -> float:
-        th, w = _as_mix(thetas, weights)
-        self.validate_prediction(th)
-        return self.merge(th, w)
+    substitute = _substitute
 
 
 def mixability_slack(loss, thetas, weights, x: float) -> float:

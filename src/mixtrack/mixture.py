@@ -22,6 +22,10 @@ outcome, the copies' predictions, and the merged prediction against the
 loss's domain.  It then calls the loss's unchecked kernels (``merge``,
 ``pointwise``), so a step that raises leaves the mixture as it was.
 
+``step`` returns the round as a ``StepRecord`` whose fields follow the
+``Trace`` columns; ``run`` calls ``step`` once per outcome and writes
+each record into the columns.
+
 ``mode`` only picks the rows a round's base-learner work touches.
 Eager predicts and updates every row, zero-mass rows included.  Lazy
 touches only the rows carrying mass; a zero-mass row keeps stale
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,20 +52,6 @@ NEVER = np.iinfo(np.int64).max
 
 COLUMNAR_METHODS = ("state_width", "init_rows", "predict_rows", "update_rows")
 LOSS_KERNELS = ("merge", "pointwise")
-
-# Trace columns filled from each round's StepRecord, with their dtypes
-_COLUMNS = (
-    ("ts", "t", np.int64),
-    ("outcomes", "outcome", float),
-    ("predictions", "prediction", float),
-    ("step_losses", "step_loss", float),
-    ("jt_periods", "jt_period", float),
-    ("live", "live", np.int64),
-    ("created", "created", np.int64),
-    ("work", "work", np.int64),
-    ("drifts", "drift", float),
-    ("map_ids", "map_id", np.int64),
-)
 
 
 def transition_weight(src_runtime: int, tgt_runtime: int, same_expert: bool, tgt_is_jt: bool) -> float:
@@ -95,13 +86,12 @@ def select_jt(scheme, t: int) -> ExpertSpec:
     return max(resetters, key=lambda e: (e.period, -e.start))
 
 
-@dataclass
-class StepRecord:
-    """Log line for one round."""
+class StepRecord(NamedTuple):
+    """Log line for one round; the fields follow the ``Trace`` columns."""
 
     t: int
-    prediction: float
     outcome: float
+    prediction: float
     step_loss: float
     jt_period: float
     live: int
@@ -111,9 +101,13 @@ class StepRecord:
     map_id: int
 
 
+# dtype of each Trace column, in StepRecord field order
+_DTYPES = (np.int64, float, float, float, float, np.int64, np.int64, np.int64, float, np.int64)
+
+
 @dataclass
 class Trace:
-    """Full run history, column per StepRecord field."""
+    """Full run history: one column per StepRecord field, in field order."""
 
     scheme_tag: str
     loss_name: str
@@ -133,10 +127,6 @@ class Trace:
     @property
     def horizon(self) -> int:
         return int(self.ts.size)
-
-    @property
-    def cum_losses(self) -> np.ndarray:
-        return np.cumsum(self.step_losses)
 
     @property
     def total_loss(self) -> float:
@@ -330,18 +320,7 @@ class Mixture:
         self.work_total += len(rows)
 
         drift = self._advance(live)
-        return StepRecord(
-            t=t,
-            prediction=float(prediction),
-            outcome=x,
-            step_loss=float(step_loss),
-            jt_period=jt_period,
-            live=lw.size,
-            created=n,
-            work=len(rows),
-            drift=drift,
-            map_id=map_id,
-        )
+        return StepRecord(t, x, float(prediction), float(step_loss), jt_period, lw.size, n, len(rows), drift, map_id)
 
     def _advance(self, live) -> float:
         """Route weights from round t to round t+1 and wipe the restarters."""
@@ -381,25 +360,18 @@ class Mixture:
         return shift
 
     def run(self, xs) -> Trace:
-        """Feed a whole outcome sequence and collect the trace."""
+        """Feed a 1-d outcome sequence through ``step`` and collect the trace.
+
+        Each round's StepRecord is written into preallocated columns, one
+        per field, so the trace holds the same numbers ``step`` returns.
+        """
         xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 1:
+            raise ValueError(f"outcome sequence must be 1-d, got shape {xs.shape}")
         if xs.size == 0:
             raise ValueError("empty outcome sequence")
-        cols = {name: np.empty(xs.size, dtype=dt) for name, _f, dt in _COLUMNS}
-        fill = [(cols[name], field) for name, field, _dt in _COLUMNS]
+        cols = [np.empty(xs.size, dtype=dt) for dt in _DTYPES]
         for i, x in enumerate(xs.tolist()):
-            rec = self.step(x)
-            for col, field in fill:
-                col[i] = getattr(rec, field)
-        return Trace(
-            scheme_tag=self.scheme.tag,
-            loss_name=self.loss.name,
-            mode=self.mode,
-            id_to_spec=dict(enumerate(self._specs)),
-            **cols,
-        )
-
-
-def init_mixture(scheme, loss, base, mode: str = "eager") -> Mixture:
-    """Convenience constructor matching the harness config vocabulary."""
-    return Mixture(scheme, loss, base, mode=mode)
+            for col, value in zip(cols, self.step(x)):
+                col[i] = value
+        return Trace(self.scheme.tag, self.loss.name, self.mode, *cols, id_to_spec=dict(enumerate(self._specs)))

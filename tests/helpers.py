@@ -26,13 +26,13 @@ class ConstantBase:
     loss_family = "bernoulli"
 
     def init_state(self):
-        return BaseState(0.5, np.zeros(0), 0)
+        return BaseState(0.5, np.zeros(0))
 
     def predict(self, state):
         return state.prediction
 
     def update(self, state, x):
-        return BaseState(0.5, state.stats, state.count + 1)
+        return BaseState(0.5, state.stats)
 
 
 def dense_run(scheme, loss, base, xs, order="forward"):

@@ -29,7 +29,6 @@ class TestKTEstimator:
         for x in (1.0, 1.0, 1.0, 0.0):
             st = self.kt.update(st, x)
         assert st.prediction == pytest.approx(0.7, abs=1e-15)  # (3 + 0.5) / (4 + 1)
-        assert st.count == 4
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,20 @@ class TestRunExperiment:
         summary, _ = run_experiment(cfg)
         assert "files" not in summary
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask-022", "umask-027"])
+    def test_files_honour_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            cfg = self.make_config(tmp_path)
+            summary, _ = run_experiment(cfg)
+            sweep(cfg, {"seed": [0, 1]})
+        finally:
+            os.umask(old)
+        paths = [summary["files"]["csv"], summary["files"]["json"], os.path.join(str(tmp_path), "sweep.csv")]
+        for path in paths:
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path
+        assert sorted(os.listdir(str(tmp_path))) == sorted(os.path.basename(p) for p in paths)
+
 
 class TestSweep:
     def base_config(self, tmp_path):
@@ -286,6 +300,27 @@ class TestCli:
         code = main(["run", "--config", cfg])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("run", "{not json", "Expecting property name"),
+            ("run", "[1, 2]", "must hold a JSON object"),
+            ("sweep", '{"horizon": 8, "sweep": 3}', "nonempty lists"),
+            ("sweep", '{"horizon": 8, "sweep": {"seed": 3}}', "nonempty lists"),
+        ],
+        ids=["invalid-json", "json-array", "sweep-not-a-dict", "sweep-value-not-a-list"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_sweep_without_grid_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"scheme": "lin", "horizon": 8})

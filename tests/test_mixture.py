@@ -8,7 +8,7 @@ import pytest
 from helpers import ConstantBase, default_base_name, dense_run
 from mixtrack.base import RunningMean, make_base
 from mixtrack.losses import SquareLoss, make_loss
-from mixtrack.mixture import Mixture, init_mixture, select_jt, transition_weight
+from mixtrack.mixture import Mixture, select_jt, transition_weight
 from mixtrack.schemes import (
     ExpertSpec,
     LinScheme,
@@ -288,9 +288,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build("lin", "square").run([])
 
-    def test_init_mixture_helper(self):
-        mix = init_mixture(LogScheme(), make_loss("bernoulli"), make_base("kt"), mode="lazy")
-        assert mix.mode == "lazy"
+    def test_non_1d_run_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            build("lin", "square").run(np.zeros((2, 3)))
 
 
 class _SwitchableMean(RunningMean):
