@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from mixtrack import KTEstimator, RunningMean, make_loss
-from mixtrack.base import replay_predictions, restart_loss, static_regret
+from mixtrack.base import restart_loss, static_regret
 
 
 def regret_curve(base, loss, xs, checkpoints):
@@ -49,8 +49,12 @@ def main():
     for T_, reg in zip(checkpoints, regret_curve(rm, sq, vals, checkpoints)):
         print(f"  {T_:>6} {reg:>9.4f} {2 * math.log(T_):>9.4f}")
 
-    # predictions replay exactly whether computed one by one or in bulk
-    assert np.array_equal(rm.predictions(vals[:100]), replay_predictions(rm, vals[:100]))
+    # predictions are the same whether computed in bulk or by stepping one row
+    row, stepped = rm.init_rows(1), []
+    for x in vals[:100]:
+        stepped.append(rm.predict_rows(row)[0])
+        rm.update_rows(row, x)
+    assert rm.predictions(vals[:100]).tobytes() == np.array(stepped).tobytes()
 
     # --- what restarting buys on drifting data -----------------------------
     drift = np.concatenate([rng.normal(0.6, 0.2, 2_000), rng.normal(-0.6, 0.2, 2_000)])

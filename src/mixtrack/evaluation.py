@@ -193,8 +193,8 @@ def path_oracle(scheme, loss, base, xs, tol: float = 1e-9) -> PathOracleReport:
     where the weight cost is -log of the initial weight times the
     product of transition shares along the path.  The report records the
     tightest certificate and whether the engine satisfies it within
-    ``tol``.  Path predictions are recomputed by replaying the base
-    learner from each restart, independently of the engine.
+    ``tol``.  Path predictions are recomputed from each restart with the
+    learner's ``predictions``, independently of the engine's rows.
     """
     xs = np.asarray(xs, dtype=float)
     T = int(xs.size)
@@ -209,11 +209,9 @@ def path_oracle(scheme, loss, base, xs, tol: float = 1e-9) -> PathOracleReport:
     def theta(spec: ExpertSpec, t: int) -> float:
         key = (spec, t)
         if key not in theta_cache:
+            # a copy at runtime u has seen the u - 1 outcomes before round t
             u = runtime(t, spec)
-            state = base.init_state()
-            for tau in range(t - u + 1, t):
-                state = base.update(state, float(xs[tau - 1]))
-            theta_cache[key] = base.predict(state)
+            theta_cache[key] = float(base.predictions(xs[t - u : t])[-1])
         return theta_cache[key]
 
     births = sorted(scheme.births_at(1))

@@ -66,11 +66,16 @@ class ExperimentConfig:
             raise ValueError("mode must be eager, lazy or both")
         if self.stream not in STREAMS:
             raise ValueError(f"unknown stream {self.stream!r}; expected one of {STREAMS}")
-        if int(self.horizon) < 1:
+        try:
+            self.horizon = int(self.horizon)
+            self.seed = int(self.seed)
+            negative = self.sigma < 0
+        except TypeError:
+            raise ValueError("horizon and seed must be integers and sigma a number, not "
+                             f"{self.horizon!r}, {self.seed!r} and {self.sigma!r}") from None
+        if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.horizon = int(self.horizon)
-        self.seed = int(self.seed)
-        if self.sigma < 0:
+        if negative:
             raise ValueError("sigma must be nonnegative")
 
     @classmethod
@@ -86,17 +91,24 @@ class ExperimentConfig:
         seg = self.segments
         if seg is None:
             return [(self.horizon, neutral)]
+        try:
+            if isinstance(seg, dict):
+                count = int(seg.get("count", 1))
+                params = [float(p) for p in seg.get("params", [neutral])]
+            else:
+                out = [(int(n), float(p)) for n, p in seg]
+        except TypeError:
+            raise ValueError(
+                f"segments must be null, a {{count, params}} dict or a list of [length, param] pairs, not {seg!r}"
+            ) from None
         if isinstance(seg, dict):
-            count = int(seg.get("count", 1))
-            params = list(seg.get("params", [neutral]))
             if count < 1 or count > self.horizon:
                 raise ValueError("segment count must be in [1, horizon]")
             if not params:
                 raise ValueError("pattern segments need at least one param")
             n = self.horizon // count
             lengths = [n] * (count - 1) + [self.horizon - n * (count - 1)]
-            return [(lengths[i], float(params[i % len(params)])) for i in range(count)]
-        out = [(int(n), float(p)) for n, p in seg]
+            return [(lengths[i], params[i % len(params)]) for i in range(count)]
         if any(n < 1 for n, _ in out):
             raise ValueError("segment lengths must be positive")
         if sum(n for n, _ in out) != self.horizon:

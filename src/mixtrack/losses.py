@@ -181,18 +181,13 @@ class BernoulliLogLoss:
     Mixable with constant 1, and the weighted mean of the predictions
     achieves the mixability inequality with equality, which makes the
     substitution step a dot product.  Predictions live in
-    [margin, 1-margin] so the loss stays finite.
+    [BERNOULLI_MARGIN, 1 - BERNOULLI_MARGIN] so the loss stays finite.
     """
 
     name = "bernoulli"
     mixability = 1.0
-
-    def __init__(self, margin: float = BERNOULLI_MARGIN):
-        if not (0.0 < margin < 0.5):
-            raise ValueError("margin must lie in (0, 0.5)")
-        self.margin = margin
-        self.pred_low = margin
-        self.pred_high = 1.0 - margin
+    pred_low = BERNOULLI_MARGIN
+    pred_high = 1.0 - BERNOULLI_MARGIN
 
     def validate_prediction(self, theta) -> None:
         t = np.asarray(theta, dtype=float)

@@ -256,10 +256,6 @@ class Mixture:
     # -- introspection -----------------------------------------------------
 
     @property
-    def live_count(self) -> int:
-        return int(np.count_nonzero(self._logw[: self.created] > NEG_INF))
-
-    @property
     def jt(self) -> ExpertSpec:
         """Designated restarter of the current round."""
         return self._specs[self._jt]

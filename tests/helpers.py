@@ -1,16 +1,16 @@
 """Shared test utilities, chiefly an independent dense reference engine.
 
 The reference keeps weights in a plain dict, builds the full transition
-kernel from ``transition_weight`` every round, and replays base learners
-through the scalar interface.  It shares no array bookkeeping with the
-production engine, so agreement between the two is meaningful.
+kernel from ``transition_weight`` every round, and steps each copy as
+its own one-row learner state from ``init_rows(1)``.  It shares no array
+bookkeeping with the production engine, so agreement between the two is
+meaningful.
 """
 
 import math
 
 import numpy as np
 
-from mixtrack.base import BaseState
 from mixtrack.mixture import select_jt, transition_weight
 from mixtrack.schemes import runtime
 
@@ -20,19 +20,10 @@ def default_base_name(loss_name):
 
 
 class ConstantBase:
-    """Minimal custom learner: scalar interface only."""
+    """Minimal custom learner: it names its loss family but has no row methods."""
 
     name = "always-half"
     loss_family = "bernoulli"
-
-    def init_state(self):
-        return BaseState(0.5, np.zeros(0))
-
-    def predict(self, state):
-        return state.prediction
-
-    def update(self, state, x):
-        return BaseState(0.5, state.stats)
 
 
 def dense_run(scheme, loss, base, xs, order="forward"):
@@ -44,27 +35,27 @@ def dense_run(scheme, loss, base, xs, order="forward"):
     T = len(xs)
     births = sorted(scheme.births_at(1))
     w = {sp: 1.0 / len(births) for sp in births}
-    states = {sp: base.init_state() for sp in births}
+    states = {sp: base.init_rows(1) for sp in births}
     preds_out, loss_out = [], []
     for t in range(1, T + 1):
         x = float(xs[t - 1])
         live = [sp for sp in sorted(w, key=lambda s: (s.start, s.period)) if w[sp] > 0]
         if order == "reversed":
             live = live[::-1]
-        th = np.array([base.predict(states[sp]) for sp in live])
+        th = np.array([base.predict_rows(states[sp])[0] for sp in live])
         pw = np.array([w[sp] for sp in live])
         pw = pw / pw.sum()
         pred = loss.substitute(th, pw)
         preds_out.append(pred)
         loss_out.append(loss.evaluate(pred, x))
         for sp in live:
-            w[sp] *= math.exp(-loss.mixability * loss.evaluate(base.predict(states[sp]), x))
+            w[sp] *= math.exp(-loss.mixability * loss.evaluate(base.predict_rows(states[sp])[0], x))
 
         t1 = t + 1
         for sp in sorted(scheme.births_at(t1)):
             if sp not in w:
                 w[sp] = 0.0
-                states[sp] = base.init_state()
+                states[sp] = base.init_rows(1)
         jt = select_jt(scheme, t1)
         new_w = {}
         for tgt in w:
@@ -81,9 +72,9 @@ def dense_run(scheme, loss, base, xs, order="forward"):
             new_w[tgt] = inflow
         for sp in list(states):
             if t1 >= sp.start and runtime(t1, sp) == 1:
-                states[sp] = base.init_state()
+                states[sp] = base.init_rows(1)
             elif sp.start <= t:
-                states[sp] = base.update(states[sp], x)
+                base.update_rows(states[sp], x)
         z = sum(new_w.values())
         w = {sp: v / z for sp, v in new_w.items()}
     return np.array(preds_out), np.array(loss_out)

@@ -9,11 +9,20 @@ from mixtrack.base import (
     RunningMean,
     make_base,
     register_base,
-    replay_predictions,
     restart_loss,
     static_regret,
 )
 from mixtrack.losses import BernoulliLogLoss, SquareLoss
+
+
+def stepped_row(base, xs):
+    """Predictions of one ``init_rows(1)`` row stepped through ``xs``."""
+    rows = base.init_rows(1)
+    out = np.empty(len(xs))
+    for t, x in enumerate(xs):
+        out[t] = base.predict_rows(rows)[0]
+        base.update_rows(rows, float(x))
+    return out
 
 
 class TestKTEstimator:
@@ -22,17 +31,13 @@ class TestKTEstimator:
         self.loss = BernoulliLogLoss()
 
     def test_first_prediction_is_half(self):
-        assert self.kt.predict(self.kt.init_state()) == 0.5
+        assert self.kt.predict_rows(self.kt.init_rows(1))[0] == 0.5
 
     def test_add_half_counts(self):
-        st = self.kt.init_state()
+        rows = self.kt.init_rows(1)
         for x in (1.0, 1.0, 1.0, 0.0):
-            st = self.kt.update(st, x)
-        assert st.prediction == pytest.approx(0.7, abs=1e-15)  # (3 + 0.5) / (4 + 1)
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            self.kt.update(self.kt.init_state(), 0.5)
+            self.kt.update_rows(rows, x)
+        assert self.kt.predict_rows(rows)[0] == pytest.approx(0.7, abs=1e-15)  # (3 + 0.5) / (4 + 1)
 
     def test_all_ones_regret_two_rounds(self):
         # loss = log 2 + log(4/3); best constant sits at the margin edge
@@ -48,18 +53,16 @@ class TestKTEstimator:
         for xs in seqs:
             assert static_regret(self.kt, self.loss, xs) <= bound
 
+    def test_clips_into_the_loss_domain(self):
+        # a constant run past 1/(2*margin) drives the estimate to the margin
+        xs = np.zeros(600_000)
+        preds = self.kt.predictions(xs)
+        assert preds[-1] == self.loss.pred_low
+        assert np.isfinite(self.loss.evaluate_pairs(preds, xs)).all()
+
     def test_vectorized_predictions_match_replay_bitwise(self):
         xs = (np.random.default_rng(11).random(1000) < 0.3).astype(float)
-        assert np.array_equal(self.kt.predictions(xs), replay_predictions(self.kt, xs))
-
-    def test_columnar_rows_match_scalar(self):
-        xs = (np.random.default_rng(4).random(50) < 0.6).astype(float)
-        rows = self.kt.init_rows(1)
-        st = self.kt.init_state()
-        for x in xs:
-            assert self.kt.predict_rows(rows)[0] == self.kt.predict(st)
-            self.kt.update_rows(rows, float(x))
-            st = self.kt.update(st, float(x))
+        assert self.kt.predictions(xs).tobytes() == stepped_row(self.kt, xs).tobytes()
 
 
 class TestRunningMean:
@@ -68,21 +71,17 @@ class TestRunningMean:
         self.loss = SquareLoss()
 
     def test_initial_prediction_is_zero(self):
-        assert self.rm.predict(self.rm.init_state()) == 0.0
+        assert self.rm.predict_rows(self.rm.init_rows(1))[0] == 0.0
 
     def test_tracks_mean(self):
-        st = self.rm.init_state()
+        rows = self.rm.init_rows(1)
         for x in (0.5, -0.5, 1.0):
-            st = self.rm.update(st, x)
-        assert st.prediction == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            self.rm.update(self.rm.init_state(), 2.0)
+            self.rm.update_rows(rows, x)
+        assert self.rm.predict_rows(rows)[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_vectorized_predictions_match_replay_bitwise(self):
         xs = np.random.default_rng(12).uniform(-1, 1, 1000)
-        assert np.array_equal(self.rm.predictions(xs), replay_predictions(self.rm, xs))
+        assert self.rm.predictions(xs).tobytes() == stepped_row(self.rm, xs).tobytes()
 
     def test_static_regret_modest_on_iid(self):
         xs = np.random.default_rng(0).uniform(-1, 1, 10_000)
@@ -96,7 +95,7 @@ class TestStaticRegret:
         kt = KTEstimator()
         xs = (np.random.default_rng(8).random(500) < 0.4).astype(float)
         fast = static_regret(kt, loss, xs)
-        preds = replay_predictions(kt, xs)
+        preds = stepped_row(kt, xs)
         star = loss.best_fixed(xs)
         naive = math.fsum(
             loss.evaluate(float(p), float(x)) - loss.evaluate(star, float(x))

@@ -312,8 +312,12 @@ class TestCli:
             ("run", "[1, 2]", "must hold a JSON object"),
             ("sweep", '{"horizon": 8, "sweep": 3}', "nonempty lists"),
             ("sweep", '{"horizon": 8, "sweep": {"seed": 3}}', "nonempty lists"),
+            ("run", '{"horizon": null}', "must be integers and sigma a number"),
+            ("run", '{"horizon": 8, "segments": 5}', "segments must be null"),
+            ("run", '{"horizon": 8, "sigma": "x"}', "must be integers and sigma a number"),
         ],
-        ids=["invalid-json", "json-array", "sweep-not-a-dict", "sweep-value-not-a-list"],
+        ids=["invalid-json", "json-array", "sweep-not-a-dict", "sweep-value-not-a-list",
+             "horizon-null", "segments-int", "sigma-string"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "config.json"

@@ -191,13 +191,6 @@ class TestBernoulliLogLoss:
             x = float(rng.integers(0, 2))
             assert abs(mixability_slack(self.loss, th, w, x)) <= 1e-12
 
-    def test_margin_configurable(self):
-        tight = BernoulliLogLoss(margin=1e-3)
-        with pytest.raises(ValueError):
-            tight.evaluate(1e-4, 0.0)
-        with pytest.raises(ValueError):
-            BernoulliLogLoss(margin=0.7)
-
 
 class TestExpConcaveLoss:
     def _scaled_square(self):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ConstantBase, default_base_name, dense_run
 from mixtrack.base import RunningMean, make_base
@@ -134,6 +136,44 @@ class TestAgainstDenseReference:
             order="reversed",
         )
         np.testing.assert_allclose(fwd, rev, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _sub_run(draw):
+    """A random `sub` ladder (a, b, c), loss, mode and stream of T <= 64 rounds."""
+    # below a = 0.5, b = 0.25 the raw periods grow so slowly that building
+    # the ladder alone takes seconds
+    a = draw(st.floats(0.5, 3.0))
+    b = draw(st.floats(0.25, 1.5))
+    c = draw(st.floats(1.0, 2.5))
+    loss_name = draw(st.sampled_from(ALL_LOSSES))
+    mode = draw(st.sampled_from(["eager", "lazy"]))
+    T = draw(st.integers(1, 64))
+    if loss_name == "bernoulli":
+        xs = [float(v) for v in draw(st.lists(st.booleans(), min_size=T, max_size=T))]
+    else:
+        xs = draw(st.lists(st.floats(-1.0, 1.0), min_size=T, max_size=T))
+    return (a, b, c), loss_name, mode, np.array(xs)
+
+
+class TestRandomLaddersAgainstDenseReference:
+    # Fixed inputs (derandomize, no example database).  Time bound: 100
+    # examples, and an example slower than the 1 s deadline fails the test;
+    # the whole test takes about 5 s on a 2-core x86 box.
+    @settings(max_examples=100, deadline=1000, derandomize=True, database=None)
+    @given(_sub_run())
+    def test_matches_dict_reference(self, run):
+        (a, b, c), loss_name, mode, xs = run
+        T = xs.size
+
+        def fresh():
+            return (make_scheme("sub", sub_a=a, sub_b=b, sub_c=c, horizon=T + 1), make_loss(loss_name),
+                    make_base(default_base_name(loss_name)))
+
+        trace = Mixture(*fresh(), mode=mode).run(xs)
+        ref_preds, ref_losses = dense_run(*fresh(), xs)
+        np.testing.assert_allclose(trace.predictions, ref_preds, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.step_losses, ref_losses, rtol=0, atol=1e-12)
 
 
 class TestLazyEagerEquivalence:
