@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -31,7 +32,7 @@ import numpy as np
 from .base import make_base, restart_loss
 from .evaluation import complexity_audit, dynamic_regret, oracle_comparators, oracle_step_losses, path_oracle
 from .losses import make_loss
-from .mixture import Mixture
+from .mixture import Mixture, select_jt
 from .schemes import make_scheme
 
 DEFAULT_BASE_FOR = {"square": "running-mean", "bernoulli": "kt"}
@@ -329,14 +330,14 @@ def sweep(config: ExperimentConfig, grid: dict, write_files: bool = True) -> lis
         d.update(combo)
         d["out_dir"] = None
         row = dict.fromkeys(SWEEP_KEYS)
-        row.update(scheme=d["scheme"], loss=d["loss"], T=int(d["horizon"]), seed=int(d["seed"]))
+        row.update(scheme=d["scheme"], loss=d["loss"])
         try:
+            row.update(T=int(d["horizon"]), seed=int(d["seed"]))
             cfg = ExperimentConfig.from_dict(d)
             summary, _ = run_experiment(cfg, write_files=False)
             res = summary["results"]
             S = res["segments"]
-            T = int(d["horizon"])
-            ratio = T / S
+            ratio = row["T"] / S
             denom = S * math.log(ratio) if ratio > 1 else math.nan
             row.update(
                 S=S,
@@ -361,11 +362,19 @@ def sweep(config: ExperimentConfig, grid: dict, write_files: bool = True) -> lis
 
 
 def verify(verbose: bool = True) -> int:
-    """Built-in cross-checks on tiny instances; returns a process exit code."""
+    """Built-in cross-checks on small instances, each timed; returns a process exit code."""
     failures = 0
     rng = np.random.default_rng(12345)
+
+    def report(line: str, ok: bool, started: float) -> None:
+        nonlocal failures
+        failures += 0 if ok else 1
+        if verbose:
+            print(f"{line} [{'ok' if ok else 'FAIL'}] {1e3 * (time.perf_counter() - started):.1f} ms")
+
     for tag in ("lin", "log", "sub"):
         for loss_name in ("bernoulli", "square"):
+            started = time.perf_counter()
             loss = make_loss(loss_name)
             base = make_base(DEFAULT_BASE_FOR[loss_name])
             scheme = make_scheme(tag, horizon=8)
@@ -374,28 +383,34 @@ def verify(verbose: bool = True) -> int:
             else:
                 xs = np.clip(rng.normal(0.0, 0.5, 5), -1, 1)
             rep = path_oracle(scheme, loss, base, xs)
-            ok = rep.satisfied
-            failures += 0 if ok else 1
-            if verbose:
-                print(f"path certificate  {tag:3s} {loss_name:9s} "
-                      f"mixture {rep.mixture_loss:.6f} <= best bound {rep.best_bound:.6f} "
-                      f"[{'ok' if ok else 'FAIL'}]")
+            report(f"path certificate  {tag:3s} {loss_name:9s} "
+                   f"mixture {rep.mixture_loss:.6f} <= best bound {rep.best_bound:.6f}", rep.satisfied, started)
+    T = 256
     for tag in ("lin", "log", "sub"):
-        cfg = ExperimentConfig(scheme=tag, loss="bernoulli", horizon=256, seed=3, mode="both",
+        started = time.perf_counter()
+        cfg = ExperimentConfig(scheme=tag, loss="bernoulli", horizon=T, seed=3, mode="both",
                                segments={"count": 2, "params": [0.2, 0.8]})
         try:
             summary, trace = run_experiment(cfg, write_files=False)
             cap_ok = summary["results"]["created_within_cap"]
             div = summary["results"]["lazy_eager_divergence"]
-            ok = cap_ok and div == 0.0
         except Exception as e:
-            ok, div, cap_ok = False, math.nan, False
+            div, cap_ok = math.nan, False
             if verbose:
                 print(f"agreement check    {tag:3s} raised: {e}")
-        failures += 0 if ok else 1
-        if verbose:
-            print(f"lazy/eager + caps  {tag:3s} divergence {div:.3g}, pool within cap: {cap_ok} "
-                  f"[{'ok' if ok else 'FAIL'}]")
+        report(f"lazy/eager + caps  {tag:3s} divergence {div:.3g}, pool within cap: {cap_ok}",
+               cap_ok and div == 0.0, started)
+        # the schedule against the closed-form count, the engine's J_t against select_jt
+        started = time.perf_counter()
+        scheme = make_scheme(tag, horizon=T + 1)
+        mix = Mixture(scheme, make_loss("bernoulli"), make_base("kt"))
+        jt_ok = True
+        for t, x in enumerate((rng.random(T) < 0.5).tolist(), start=1):
+            jt_ok = jt_ok and mix.jt == select_jt(scheme, t)
+            created = mix.step(x).created
+        count = scheme.expert_count(T)
+        report(f"schedule          {tag:3s} {created} copies by T={T}, closed form {count}, J_t as select_jt: "
+               f"{jt_ok}", scheme.schedule(T)[0].size == created == count and jt_ok, started)
     if verbose:
         print("verify:", "all checks passed" if failures == 0 else f"{failures} check(s) FAILED")
     return 0 if failures == 0 else 1

@@ -13,9 +13,11 @@ copy that restarts without being J_{t+1} is left with zero mass until
 it is next designated.
 
 Every copy the calendar creates gets one row, appended in creation
-order, so a row's index is the copy's id.  The engine asks the calendar
-only for each round's births; J_{t+1} is read off the rows as the row of
-largest period among those whose runtime at t+1 is 1.
+order, so a row's index is the copy's id.  The engine compiles the
+calendar's ``schedule`` for a horizon that doubles whenever a round
+passes it; the rows born by t+1 are the schedule rows with start <= t+1.
+J_{t+1} is read off the rows as the row of largest period among those
+whose runtime at t+1 is 1.
 
 A round checks its inputs once, before it changes any state: the
 outcome, the copies' predictions, and the merged prediction against the
@@ -42,13 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schemes import ExpertSpec, runtime
+from .schemes import NEVER, ExpertSpec, runtime, specs
 
 NEG_INF = -math.inf
-
-# stored period of a never-restarting copy: it outranks every finite
-# period, and age % NEVER == age for every reachable round
-NEVER = np.iinfo(np.int64).max
 
 COLUMNAR_METHODS = ("state_width", "init_rows", "predict_rows", "update_rows")
 LOSS_KERNELS = ("merge", "pointwise")
@@ -153,7 +151,8 @@ class Mixture:
     Parameters
     ----------
     scheme : calendar object
-        Provides births_at, the only calendar call the engine makes.
+        Provides ``schedule(T)``, the (period, start) arrays of the copies
+        born by round T in creation order; the engine calls nothing else.
     loss : loss family
         Provides mixability, pred_low/pred_high, the validators
         ``validate_outcome`` and ``validate_prediction``, and the
@@ -187,47 +186,43 @@ class Mixture:
         self.base = base
         self.mode = mode
 
-        births = sorted(scheme.births_at(1))
-        if not births:
-            raise RuntimeError("calendar defect: no copy is born at round 1")
-
-        # one row per created copy, in creation order: row index = copy id
-        self._specs: list[ExpertSpec] = []
-        self._period = np.empty(0, dtype=np.int64)
-        self._start = np.empty(0, dtype=np.int64)
+        # one row per schedule row born so far: row index = copy id
         self._logw = np.empty(0)
         self._rows = np.empty((0, base.state_width))
         self.created = 0
-        self._finite_periods = False
-
         self.t = 1
         self.work_total = 0
-        self._log_tab = np.empty(0)
-        self._stay_tab = np.empty(0)
 
-        self._append(births, math.log(1.0 / len(births)))
+        self._compile(1)
+        born = int(self._start.searchsorted(1, "right"))
+        if not born:
+            raise RuntimeError("calendar defect: no copy is born at round 1")
+        self._append(born, math.log(1.0 / born))
         # every copy born at round 1 is at runtime 1
         self._jt = self._restarter(np.arange(self.created), 1)
 
-    # -- row storage -------------------------------------------------------
+    # -- schedule and row storage -----------------------------------------
 
-    def _append(self, specs: list, logw: float) -> None:
-        """Add a row for each new copy, base statistics fresh."""
+    def _compile(self, horizon: int) -> None:
+        """Compile the schedule through ``horizon``; size the rows and log tables for it."""
+        self._period, self._start = self.scheme.schedule(horizon)
+        self._finite_periods = bool((self._period != NEVER).any())
+        n, cap = self.created, self._period.size
+        logw, rows = np.empty(cap), np.empty((cap, self._rows.shape[1]))
+        logw[:n], rows[:n] = self._logw[:n], self._rows[:n]
+        self._logw, self._rows = logw, rows
+        # runtimes never exceed the horizon; the tables are built in place
+        self._log_tab = log_tab = np.arange(horizon + 1, dtype=float)
+        with np.errstate(divide="ignore"):
+            np.log(log_tab, out=log_tab)
+        # stay share log((u-1)/u); -inf at u=1 kills restarting rows
+        self._stay_tab = stay = np.full(horizon + 1, math.inf)
+        np.subtract(log_tab[:-1], log_tab[1:], out=stay[1:])
+        self._horizon = horizon
+
+    def _append(self, m: int, logw: float) -> None:
+        """Open rows up to schedule row ``m``, base statistics fresh."""
         n = self.created
-        m = n + len(specs)
-        if m > self._logw.size:
-            cap = max(2 * self._logw.size, m, 8)
-            for name in ("_period", "_start", "_logw", "_rows"):
-                old = getattr(self, name)
-                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                grown[:n] = old[:n]
-                setattr(self, name, grown)
-        for i, spec in enumerate(specs, n):
-            finite = not math.isinf(spec.period)
-            self._finite_periods |= finite
-            self._period[i] = int(spec.period) if finite else NEVER
-            self._start[i] = spec.start
-        self._specs.extend(specs)
         self._logw[n:m] = logw
         self._rows[n:m] = self.base.init_rows(m - n)
         self.created = m
@@ -242,23 +237,15 @@ class Mixture:
             raise RuntimeError(f"calendar defect: no copy restarts at round {t}")
         return int(restarting[self._period[restarting].argmax()])
 
-    def _log_of(self, values: np.ndarray) -> np.ndarray:
-        """log(values) by table lookup; grows the stay-share table alongside."""
-        hi = int(values.max())
-        if hi >= self._log_tab.size:
-            with np.errstate(divide="ignore"):
-                self._log_tab = np.log(np.arange(max(2 * self._log_tab.size, hi + 1, 64)))
-                # stay share log((u-1)/u); -inf at u=1 kills restarting rows
-                self._stay_tab = self._log_tab - np.concatenate(([math.inf], self._log_tab[:-1]))
-                self._stay_tab *= -1.0
-        return self._log_tab[values]
+    def _specs_of(self, ids) -> list:
+        return specs(self._period[ids], self._start[ids])
 
     # -- introspection -----------------------------------------------------
 
     @property
     def jt(self) -> ExpertSpec:
         """Designated restarter of the current round."""
-        return self._specs[self._jt]
+        return self._specs_of([self._jt])[0]
 
     def live_table(self):
         """Pool as (spec, id, log-weight, runtime) tuples.
@@ -266,9 +253,9 @@ class Mixture:
         Eager lists every created copy, lazy only the copies carrying mass.
         """
         logw = self._logw[: self.created]
-        ids = range(self.created) if self.mode == "eager" else np.flatnonzero(logw > NEG_INF)
+        ids = np.arange(self.created) if self.mode == "eager" else np.flatnonzero(logw > NEG_INF)
         return [
-            (self._specs[i], int(i), float(logw[i]), runtime(self.t, self._specs[i])) for i in ids
+            (spec, i, float(logw[i]), runtime(self.t, spec)) for spec, i in zip(self._specs_of(ids), ids.tolist())
         ]
 
     def posterior(self) -> dict:
@@ -278,7 +265,7 @@ class Mixture:
         lw = logw[live]
         mx = lw.max()
         z = mx + math.log(float(np.exp(lw - mx).sum()))
-        return {self._specs[i]: math.exp(float(logw[i]) - z) for i in live}
+        return {spec: math.exp(float(logw[i]) - z) for spec, i in zip(self._specs_of(live), live.tolist())}
 
     # -- the round ---------------------------------------------------------
 
@@ -304,7 +291,8 @@ class Mixture:
             raise ValueError(f"merged prediction {prediction!r} outside [{loss.pred_low}, {loss.pred_high}]")
         step_loss = loss.pointwise(prediction, x)
         map_id = int(logw.argmax())
-        jt_period = float(self._specs[self._jt].period)
+        p = self._period[self._jt]
+        jt_period = math.inf if p == NEVER else float(p)
 
         # ingest: each copy absorbs its own loss, its statistics the outcome
         losses = loss.pointwise(preds, x)
@@ -322,9 +310,11 @@ class Mixture:
         """Route weights from round t to round t+1 and wipe the restarters."""
         n = self.created
         t1 = self.t + 1
-        births = self.scheme.births_at(t1)
-        if births:
-            self._append(sorted(births), NEG_INF)
+        if t1 > self._horizon:
+            self._compile(2 * self._horizon)
+        born = int(self._start.searchsorted(t1, "right"))
+        if born > n:
+            self._append(born, NEG_INF)
 
         # runtimes at the destination round; newborns come out at 1
         age = t1 - self._start[: self.created]
@@ -338,7 +328,7 @@ class Mixture:
 
         logw = self._logw[: self.created]
         u = u1[live]
-        contrib = logw[live] - self._log_of(u)
+        contrib = logw[live] - self._log_tab[u]
         cm = contrib.max()
         if not math.isfinite(cm):
             raise RuntimeError("weight pool degenerated: no mass to route")
@@ -370,4 +360,5 @@ class Mixture:
         for i, x in enumerate(xs.tolist()):
             for col, value in zip(cols, self.step(x)):
                 col[i] = value
-        return Trace(self.scheme.tag, self.loss.name, self.mode, *cols, id_to_spec=dict(enumerate(self._specs)))
+        id_to_spec = dict(enumerate(self._specs_of(slice(0, self.created))))
+        return Trace(self.scheme.tag, self.loss.name, self.mode, *cols, id_to_spec=id_to_spec)

@@ -3,7 +3,11 @@
 A copy is identified by its restart period and its start round.  A copy
 with period p and start s is born at round s and restarts (wipes its
 base-learner state) every p rounds after that; an infinite period means
-it never restarts after birth.  Three calendars are provided:
+it never restarts after birth.  A calendar states its copies once, in
+``schedule(T)``: (period, start) int64 arrays of the copies born by round
+T in creation order (start, then period), ``NEVER`` standing for an
+infinite period.  ``births_at``, ``resetting_at`` and ``experts_through``
+are written once over it.  Three calendars are provided:
 
 ``lin``
     One never-restarting copy born every round.  Largest pool, tightest
@@ -26,7 +30,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 INF = math.inf
+
+# stored period of a never-restarting copy: it outranks every finite
+# period, and age % NEVER == age for every reachable round
+NEVER = np.iinfo(np.int64).max
 
 
 class ExpertSpec(NamedTuple):
@@ -63,20 +73,44 @@ def next_reset(t: int, spec: ExpertSpec) -> float:
     return t - runtime(t, spec) + p + 1
 
 
+def specs(period: np.ndarray, start: np.ndarray) -> list[ExpertSpec]:
+    """Schedule rows as ExpertSpecs of Python numbers; NEVER reads as inf."""
+    return [ExpertSpec(INF if p == NEVER else p, s) for p, s in zip(period.tolist(), start.tolist())]
+
+
+def _births_at(self, t: int) -> list[ExpertSpec]:
+    """Copies born at round ``t``, by period."""
+    period, start = self.schedule(t)
+    i = start.searchsorted(t)
+    return specs(period[i:], start[i:])
+
+
+def _resetting_at(self, t: int) -> list[ExpertSpec]:
+    """Copies at runtime 1 at round ``t`` (births included), by period then start."""
+    period, start = self.schedule(t)
+    hit = (t - start) % period == 0
+    period, start = period[hit], start[hit]
+    order = np.lexsort((start, period))
+    return specs(period[order], start[order])
+
+
+def _experts_through(self, T: int) -> list[ExpertSpec]:
+    """Every copy born by round ``T``, in creation order."""
+    return specs(*self.schedule(T))
+
+
 class LinScheme:
     """A fresh never-restarting copy every round."""
 
     tag = "lin"
 
-    def births_at(self, t: int) -> list[ExpertSpec]:
-        return [ExpertSpec(INF, t)]
+    def schedule(self, T: int) -> tuple[np.ndarray, np.ndarray]:
+        start = np.arange(1, max(T, 0) + 1, dtype=np.int64)
+        return np.full(start.size, NEVER, dtype=np.int64), start
 
-    def resetting_at(self, t: int) -> list[ExpertSpec]:
-        # Only the newborn is at runtime 1.
-        return [ExpertSpec(INF, t)]
-
-    def experts_through(self, T: int) -> list[ExpertSpec]:
-        return [ExpertSpec(INF, s) for s in range(1, T + 1)]
+    births_at = _births_at
+    resetting_at = _resetting_at
+    experts_through = _experts_through
 
     def expert_count(self, T: int) -> int:
         if T < 1:
@@ -92,27 +126,13 @@ class LogScheme:
 
     tag = "log"
 
-    def births_at(self, t: int) -> list[ExpertSpec]:
-        if t >= 1 and (t & (t - 1)) == 0:
-            return [ExpertSpec(t, t)]
-        return []
+    def schedule(self, T: int) -> tuple[np.ndarray, np.ndarray]:
+        p = 1 << np.arange(max(T, 0).bit_length(), dtype=np.int64)
+        return p, p.copy()
 
-    def resetting_at(self, t: int) -> list[ExpertSpec]:
-        out = []
-        p = 1
-        while p <= t:
-            if t % p == 0:
-                out.append(ExpertSpec(p, p))
-            p *= 2
-        return out
-
-    def experts_through(self, T: int) -> list[ExpertSpec]:
-        out = []
-        p = 1
-        while p <= T:
-            out.append(ExpertSpec(p, p))
-            p *= 2
-        return out
+    births_at = _births_at
+    resetting_at = _resetting_at
+    experts_through = _experts_through
 
     def expert_count(self, T: int) -> int:
         if T < 1:
@@ -195,11 +215,19 @@ class PeriodSequence:
     def _append_next(self) -> None:
         prev = self.periods[-1]
         if self.params is not None:
-            while True:
-                self._raw_n += 1
-                f = self._raw_period(self.params, self._raw_n)
-                if f > prev:
-                    break
+            def grows(n: int) -> bool:
+                try:
+                    return self._raw_period(self.params, n) > prev
+                except OverflowError:
+                    return True
+
+            # raw f(n) never decreases in n, so the first n past _raw_n with
+            # f(n) > prev is found by doubling a step, then by bisection
+            n, step = self._raw_n, 1
+            while not grows(n + step):
+                n, step = n + step, 2 * step
+            self._raw_n = n + 1 + bisect_left(range(n + 1, n + step + 1), True, key=grows)
+            f = self._raw_period(self.params, self._raw_n)
             q, r = divmod(f, prev)
         else:
             # Doubling rule; the offset equal to the previous period keeps
@@ -238,47 +266,21 @@ class SubScheme:
 
     def __init__(self, ladder: PeriodSequence | None = None):
         self.ladder = ladder if ladder is not None else PeriodSequence.from_params()
-        self._births: dict[int, list[ExpertSpec]] = {}  # start -> copies born there
-        self._tabled = 0  # rungs entered in the table
 
-    def _rungs_reaching(self, t: int):
-        """0-based rung indices whose starts can lie at or below ``t``."""
-        self.ladder.extend_past(t)
-        return range(len(self.ladder.periods))
+    def schedule(self, T: int) -> tuple[np.ndarray, np.ndarray]:
+        self.ladder.extend_past(T)
+        P, Q, R = self.ladder.periods, self.ladder.quotients, self.ladder.offsets
+        copies = [(1, 1)] if T >= 1 else []
+        for i in range(1, len(P)):
+            # rung i's starts R[i] + j*P[i-1], j = 1..Q[i], up to T
+            copies += [(P[i], R[i] + j * P[i - 1]) for j in range(1, min(Q[i], (T - R[i]) // P[i - 1]) + 1)]
+        period, start = np.array(copies, dtype=np.int64).reshape(-1, 2).T
+        order = np.lexsort((period, start))
+        return period[order], start[order]
 
-    def births_at(self, t: int) -> list[ExpertSpec]:
-        """Copies born at ``t``, sorted, read off a start -> births table.
-
-        Rungs are append-only, so the table only takes in the rungs added
-        since the ladder last extended; periods rise with the rung, so each
-        entry stays sorted.  ``resetting_at`` keeps the scan.
-        """
-        rungs = self._rungs_reaching(t)
-        if self._tabled < len(rungs):
-            for i in rungs[self._tabled :]:
-                p = self.ladder.periods[i]
-                for s in self.ladder.rung_starts(i):
-                    self._births.setdefault(s, []).append(ExpertSpec(p, s))
-            self._tabled = len(rungs)
-        return list(self._births.get(t, ()))
-
-    def resetting_at(self, t: int) -> list[ExpertSpec]:
-        out = []
-        for i in self._rungs_reaching(t):
-            p = self.ladder.periods[i]
-            for s in self.ladder.rung_starts(i):
-                if s <= t and (t - s) % p == 0:
-                    out.append(ExpertSpec(p, s))
-        out.sort()
-        return out
-
-    def experts_through(self, T: int) -> list[ExpertSpec]:
-        out = []
-        for i in self._rungs_reaching(T):
-            p = self.ladder.periods[i]
-            out.extend(ExpertSpec(p, s) for s in self.ladder.rung_starts(i) if s <= T)
-        out.sort()
-        return out
+    births_at = _births_at
+    resetting_at = _resetting_at
+    experts_through = _experts_through
 
     def expert_count(self, T: int) -> int:
         if T < 1:

@@ -340,6 +340,19 @@ class TestCli:
         assert main(["run", "--scheme", "sub", "--horizon", "1", "--out", str(tmp_path)]) == 0
         assert "pool 2" in capsys.readouterr().out
 
+    def test_sweep_row_with_uncastable_horizon_is_an_error_row(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"horizon": 8, "sweep": {"horizon": [None, 8]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "1/2 rows ok" in capsys.readouterr().out
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert lines[1].startswith("lin,bernoulli,,,,") and '"error: ' in lines[1]
+        assert lines[2].startswith("lin,bernoulli,8,") and lines[2].endswith('"ok"')
+
+    def test_sub_with_slowly_growing_ladder_exits_0(self, capsys):
+        argv = ["run", "--scheme", "sub", "--sub-a", "0.25", "--sub-b", "0.1", "--sub-c", "1", "--horizon", "64"]
+        assert main(argv) == 0
+        assert "run sub_bernoulli_T64" in capsys.readouterr().out
+
     def test_package_runs_as_module(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))

@@ -253,12 +253,12 @@ def dead_scheme():
     return SubScheme(PeriodSequence([1, 2, 4], [0, 1, 2], [0, 1, 0]))
 
 
-class _BirthsOnly:
-    """Calendar view that exposes births_at and nothing else."""
+class _ScheduleOnly:
+    """Calendar view that exposes schedule and nothing else."""
 
     def __init__(self, scheme):
         self.tag = scheme.tag
-        self.births_at = scheme.births_at
+        self.schedule = scheme.schedule
 
 
 class TestRestarterFromRows:
@@ -271,7 +271,7 @@ class TestRestarterFromRows:
             return dead_scheme() if calendar == "dead" else make_scheme(calendar, horizon=T + 1)
 
         ref = scheme()
-        mix = Mixture(_BirthsOnly(scheme()), make_loss("square"), make_base("running-mean"), mode=mode)
+        mix = Mixture(_ScheduleOnly(scheme()), make_loss("square"), make_base("running-mean"), mode=mode)
         for t, x in enumerate(stream_for("square", T, seed=4), start=1):
             assert mix.jt == select_jt(ref, t)
             mix.step(x)

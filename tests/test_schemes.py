@@ -137,6 +137,38 @@ class TestPeriodSequence:
         with pytest.raises(ValueError):
             PeriodSequence([1, 4], [0, 2], [0, 2])         # r=2 > f_1=1
 
+    def test_slowly_growing_ladder_builds_at_once(self):
+        # raw f(n) = floor(exp(0.25 * n**0.1)) first exceeds 64 near n = 1.7e12
+        params = (0.25, 0.1, 1.0)
+        seq = PeriodSequence.from_params(*params, horizon=65)
+        assert seq.periods == list(range(1, 66))
+        n = seq._raw_n
+        assert PeriodSequence._raw_period(params, n) == 65
+        assert PeriodSequence._raw_period(params, n - 1) == 64
+
+    def test_search_skips_probes_past_the_float_range(self):
+        # f(2) = 1, f(3) = 4 745 372 and f(4) overflows a float; the search for
+        # rung 2 probes n = 4 before it bisects back to n = 3
+        params = (0.15, 3.3, 3.6)
+        with pytest.raises(OverflowError):
+            PeriodSequence._raw_period(params, 4)
+        seq = PeriodSequence.from_params(*params, horizon=8)
+        assert seq.periods == [1, 4745372]
+        assert seq._raw_n == 3
+
+    @pytest.mark.parametrize("params", [(1.0, 0.5, 1.5), (0.8, 0.7, 1.2), (1.2, 0.4, 1.0), (3.0, 1.5, 2.5)])
+    def test_ladder_matches_stepwise_scan(self, params):
+        periods, raw, n = [1], [1], 1
+        while periods[-1] <= 2**12:
+            n += 1
+            f = PeriodSequence._raw_period(params, n)
+            if f > periods[-1]:
+                periods.append(f)
+                raw.append(n)
+        seq = PeriodSequence.from_params(*params, horizon=2**12 + 1)
+        assert seq.periods == periods
+        assert seq._raw_n == raw[-1]
+
     def test_from_params_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             PeriodSequence.from_params(-1.0, 0.5, 1.5, horizon=10)
@@ -214,7 +246,7 @@ class TestSubScheme:
         ids=["default", "steep", "flat", "doubling"],
     )
     def test_births_table_matches_rescan(self, ladder):
-        # the ladder starts short and extends while the table is in use
+        # the ladder starts short and extends while births are read
         sch, lad = SubScheme(ladder()), ladder()
         for t in range(1, 2**12 + 1):
             lad.extend_past(t)
