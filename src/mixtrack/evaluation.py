@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .mixture import Mixture, select_jt
-from .schemes import ExpertSpec, runtime
+from .schemes import SUB_PARAMS, ExpertSpec, runtime
 
 PATH_ORACLE_MAX_T = 8
 
@@ -150,7 +150,7 @@ def switch_bound(scheme, lengths) -> int:
     raise ValueError(f"no switch cap for scheme {tag!r}")
 
 
-def nts_bound(t: int, a: float = 1.0, b: float = 0.5, c: float = 1.5) -> Optional[float]:
+def nts_bound(t: int, a: float = SUB_PARAMS[0], b: float = SUB_PARAMS[1], c: float = SUB_PARAMS[2]) -> Optional[float]:
     """Closed-form cap on the ladder index needed for a segment of length t.
 
     Inverts the ladder growth law at t+1.  Returns None when the cap is

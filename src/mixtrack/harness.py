@@ -33,7 +33,7 @@ from .base import make_base, restart_loss
 from .evaluation import complexity_audit, dynamic_regret, oracle_comparators, oracle_step_losses, path_oracle
 from .losses import make_loss
 from .mixture import Mixture, select_jt
-from .schemes import make_scheme
+from .schemes import SUB_PARAMS, make_scheme
 
 DEFAULT_BASE_FOR = {"square": "running-mean", "bernoulli": "kt"}
 
@@ -56,9 +56,9 @@ class ExperimentConfig:
     stream: str = "piecewise-bernoulli"
     segments: object = None
     sigma: float = 0.25
-    sub_a: float = 1.0
-    sub_b: float = 0.5
-    sub_c: float = 1.5
+    sub_a: float = SUB_PARAMS[0]
+    sub_b: float = SUB_PARAMS[1]
+    sub_c: float = SUB_PARAMS[2]
     out_dir: Optional[str] = None
     label: Optional[str] = None
 
@@ -246,9 +246,7 @@ def run_experiment(config: ExperimentConfig, write_files: bool = True):
     lengths = [n for n, _ in config.resolved_segments()]
 
     modes = ("lazy", "eager") if config.mode == "both" else (config.mode,)
-    traces = {}
-    for m in modes:
-        traces[m] = Mixture(scheme, loss, make_base(base.name) if len(modes) > 1 else base, mode=m).run(xs)
+    traces = {m: Mixture(scheme, loss, base, mode=m).run(xs) for m in modes}
     divergence = None
     if config.mode == "both":
         a, b = traces["lazy"], traces["eager"]

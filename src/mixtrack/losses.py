@@ -55,6 +55,21 @@ def _as_mix(thetas, weights):
 # per-class patching such as perfbench/tracer.py finds them
 
 
+def _validate_prediction(self, theta) -> None:
+    """Reject a prediction or array of them outside [pred_low, pred_high]."""
+    t = np.asarray(theta, dtype=float)
+    if not ((t >= self.pred_low).all() and (t <= self.pred_high).all()):  # written so that NaN fails
+        raise ValueError(f"{self.name} prediction outside [{self.pred_low}, {self.pred_high}]")
+
+
+def _clipped_mean(self, xs) -> float:
+    """Hindsight-optimal constant prediction: the mean, clipped into the prediction domain."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        raise ValueError("empty outcome sequence")
+    return float(np.clip(np.mean(xs), self.pred_low, self.pred_high))
+
+
 def _evaluate(self, theta, x: float):
     """Loss of prediction(s) ``theta`` on outcome ``x``, both validated.
 
@@ -126,10 +141,7 @@ class SquareLoss:
     pred_low = -1.0
     pred_high = 1.0
 
-    def validate_prediction(self, theta) -> None:
-        t = np.asarray(theta, dtype=float)
-        if not ((t >= self.pred_low).all() and (t <= self.pred_high).all()):
-            raise ValueError("square-loss prediction outside [-1, 1]")
+    validate_prediction = _validate_prediction
 
     def validate_outcome(self, x: float) -> None:
         if not (-1.0 <= x <= 1.0):
@@ -167,12 +179,7 @@ class SquareLoss:
 
     substitute = _substitute
 
-    def best_fixed(self, xs) -> float:
-        """Hindsight-optimal constant prediction: the clipped mean."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            raise ValueError("empty outcome sequence")
-        return float(np.clip(np.mean(xs), self.pred_low, self.pred_high))
+    best_fixed = _clipped_mean
 
 
 class BernoulliLogLoss:
@@ -189,10 +196,7 @@ class BernoulliLogLoss:
     pred_low = BERNOULLI_MARGIN
     pred_high = 1.0 - BERNOULLI_MARGIN
 
-    def validate_prediction(self, theta) -> None:
-        t = np.asarray(theta, dtype=float)
-        if not ((t >= self.pred_low).all() and (t <= self.pred_high).all()):
-            raise ValueError("probability prediction outside [margin, 1-margin]")
+    validate_prediction = _validate_prediction
 
     def validate_outcome(self, x: float) -> None:
         if x != 0.0 and x != 1.0:
@@ -217,12 +221,7 @@ class BernoulliLogLoss:
 
     substitute = _substitute
 
-    def best_fixed(self, xs) -> float:
-        """Empirical rate, pulled back inside the prediction domain."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            raise ValueError("empty outcome sequence")
-        return float(np.clip(np.mean(xs), self.pred_low, self.pred_high))
+    best_fixed = _clipped_mean
 
 
 class ExpConcaveLoss:
@@ -275,10 +274,7 @@ class ExpConcaveLoss:
         if best_fixed_fn is not None:
             self.best_fixed = best_fixed_fn
 
-    def validate_prediction(self, theta) -> None:
-        t = np.asarray(theta, dtype=float)
-        if not ((t >= self.pred_low).all() and (t <= self.pred_high).all()):
-            raise ValueError("prediction outside the declared interval")
+    validate_prediction = _validate_prediction
 
     def validate_outcome(self, x: float) -> None:
         if self._outcome_check is not None and not self._outcome_check(x):

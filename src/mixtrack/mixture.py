@@ -16,8 +16,10 @@ Every copy the calendar creates gets one row, appended in creation
 order, so a row's index is the copy's id.  The engine compiles the
 calendar's ``schedule`` for a horizon that doubles whenever a round
 passes it; the rows born by t+1 are the schedule rows with start <= t+1.
-J_{t+1} is read off the rows as the row of largest period among those
-whose runtime at t+1 is 1.
+J_t depends on the calendar alone, so each compile tabulates J_t's row
+for every round through the horizon; a round no copy restarts on is a
+calendar defect, raised when its horizon is compiled.  A round wipes
+only J_{t+1}'s row.
 
 A round checks its inputs once, before it changes any state: the
 outcome, the copies' predictions, and the merged prediction against the
@@ -30,10 +32,10 @@ each record into the columns.
 
 ``mode`` only picks the rows a round's base-learner work touches.
 Eager predicts and updates every row, zero-mass rows included.  Lazy
-touches only the rows carrying mass; a zero-mass row keeps stale
-statistics until it is next designated, which wipes them.  Weight
-reductions run over the massful rows in row order in both modes, so the
-numbers agree bit for bit.
+touches only the rows carrying mass.  In both modes a zero-mass row
+keeps stale statistics until it is next designated, which wipes them.
+Weight reductions run over the massful rows in row order in both modes,
+so the numbers agree bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def select_jt(scheme, t: int) -> ExpertSpec:
     """The designated restarter at round t: largest period, then earliest start.
 
     Reference form of the rule, straight from the calendar; the engine
-    reads the same copy off its rows.
+    reads the same copy off the table it compiles from the schedule.
     """
     resetters = scheme.resetting_at(t)
     if not resetters:
@@ -152,7 +154,8 @@ class Mixture:
     ----------
     scheme : calendar object
         Provides ``schedule(T)``, the (period, start) arrays of the copies
-        born by round T in creation order; the engine calls nothing else.
+        born by round T in creation order; the engine calls nothing else
+        and compiles J_t's row per round from it.
     loss : loss family
         Provides mixability, pred_low/pred_high, the validators
         ``validate_outcome`` and ``validate_prediction``, and the
@@ -166,7 +169,8 @@ class Mixture:
         rows of one array.
     mode : {"eager", "lazy"}
         Which rows a round's base-learner work touches; the computed
-        numbers are identical.
+        numbers are identical.  In both modes a dead restarter keeps
+        stale statistics until it is designated.
     """
 
     def __init__(self, scheme, loss, base, mode: str = "eager"):
@@ -195,18 +199,26 @@ class Mixture:
 
         self._compile(1)
         born = int(self._start.searchsorted(1, "right"))
-        if not born:
-            raise RuntimeError("calendar defect: no copy is born at round 1")
         self._append(born, math.log(1.0 / born))
-        # every copy born at round 1 is at runtime 1
-        self._jt = self._restarter(np.arange(self.created), 1)
+        self._jt = int(self._jt_row[1])
 
     # -- schedule and row storage -----------------------------------------
 
     def _compile(self, horizon: int) -> None:
-        """Compile the schedule through ``horizon``; size the rows and log tables for it."""
-        self._period, self._start = self.scheme.schedule(horizon)
-        self._finite_periods = bool((self._period != NEVER).any())
+        """Compile the schedule through ``horizon``: J_t's row per round, rows and log tables."""
+        period, start = self.scheme.schedule(horizon)
+        # copies write their row on their restart rounds by period, then by
+        # start descending: the last write is J_t, as in ``select_jt``
+        jt_row = np.full(horizon + 1, -1, dtype=np.int64)
+        order = np.lexsort((-start, period))
+        for i in order:
+            jt_row[start[i] :: period[i]] = i
+        empty = (jt_row[1:] < 0).nonzero()[0]
+        if empty.size:
+            raise RuntimeError(f"calendar defect: no copy restarts at round {empty[0] + 1}")
+        self._jt_row = jt_row
+        self._period, self._start = period, start
+        self._finite_periods = bool((period != NEVER).any())
         n, cap = self.created, self._period.size
         logw, rows = np.empty(cap), np.empty((cap, self._rows.shape[1]))
         logw[:n], rows[:n] = self._logw[:n], self._rows[:n]
@@ -226,16 +238,6 @@ class Mixture:
         self._logw[n:m] = logw
         self._rows[n:m] = self.base.init_rows(m - n)
         self.created = m
-
-    def _restarter(self, restarting: np.ndarray, t: int) -> int:
-        """Row of J_t: largest period among the rows at runtime 1 at round t.
-
-        Rows of equal period were born in start order, so the first one
-        has the earliest start, as in ``select_jt``.
-        """
-        if restarting.size == 0:
-            raise RuntimeError(f"calendar defect: no copy restarts at round {t}")
-        return int(restarting[self._period[restarting].argmax()])
 
     def _specs_of(self, ids) -> list:
         return specs(self._period[ids], self._start[ids])
@@ -307,27 +309,20 @@ class Mixture:
         return StepRecord(t, x, float(prediction), float(step_loss), jt_period, lw.size, n, len(rows), drift, map_id)
 
     def _advance(self, live) -> float:
-        """Route weights from round t to round t+1 and wipe the restarters."""
-        n = self.created
+        """Route weights from round t to round t+1 and wipe J_{t+1}."""
         t1 = self.t + 1
         if t1 > self._horizon:
             self._compile(2 * self._horizon)
         born = int(self._start.searchsorted(t1, "right"))
-        if born > n:
+        if born > self.created:
             self._append(born, NEG_INF)
+        jt = int(self._jt_row[t1])
 
-        # runtimes at the destination round; newborns come out at 1
-        age = t1 - self._start[: self.created]
-        if self._finite_periods:
-            u1 = age % self._period[: self.created] + 1
-            restarting = (u1 == 1).nonzero()[0]
-        else:
-            u1 = age + 1
-            restarting = np.arange(n, self.created)
-        jt = self._restarter(restarting, t1)
+        # runtimes at the destination round of the rows carrying mass
+        age = t1 - self._start[live]
+        u = (age % self._period[live] if self._finite_periods else age) + 1
 
         logw = self._logw[: self.created]
-        u = u1[live]
         contrib = logw[live] - self._log_tab[u]
         cm = contrib.max()
         if not math.isfinite(cm):
@@ -337,7 +332,7 @@ class Mixture:
         # stayers keep (u-1)/u; a restarting copy (u=1) drops to zero mass
         logw[live] += self._stay_tab[u]
         logw[jt] = inflow
-        self._rows[restarting] = self.base.init_rows(restarting.size)
+        self._rows[jt] = self.base.init_rows(1)
 
         shift = float(logw.max())
         logw -= shift

@@ -38,6 +38,9 @@ INF = math.inf
 # period, and age % NEVER == age for every reachable round
 NEVER = np.iinfo(np.int64).max
 
+# default (a, b, c) of the ``sub`` ladder f_n = floor(exp(a*exp(b*(log n)^c)))
+SUB_PARAMS = (1.0, 0.5, 1.5)
+
 
 class ExpertSpec(NamedTuple):
     """Identity of one learner copy: (restart period, start round)."""
@@ -186,7 +189,9 @@ class PeriodSequence:
         return int(math.floor(math.exp(a * math.exp(b * math.log(n) ** c))))
 
     @classmethod
-    def from_params(cls, a: float = 1.0, b: float = 0.5, c: float = 1.5, horizon: int = 2):
+    def from_params(
+        cls, a: float = SUB_PARAMS[0], b: float = SUB_PARAMS[1], c: float = SUB_PARAMS[2], horizon: int = 2
+    ):
         """Ladder f_n = floor(exp(a*exp(b*(log n)^c))), deduplicated.
 
         Raw values that fail to increase are skipped.  Rungs are
@@ -314,7 +319,9 @@ class SubScheme:
 _SCHEMES = {"lin", "log", "sub"}
 
 
-def make_scheme(tag: str, sub_a: float = 1.0, sub_b: float = 0.5, sub_c: float = 1.5, horizon: int = 2):
+def make_scheme(
+    tag: str, sub_a: float = SUB_PARAMS[0], sub_b: float = SUB_PARAMS[1], sub_c: float = SUB_PARAMS[2], horizon: int = 2
+):
     """Build a calendar by tag; ladder parameters apply to ``sub`` only."""
     if tag == "lin":
         return LinScheme()

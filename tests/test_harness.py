@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixtrack import base as base_module
 from mixtrack.evaluation import oracle_comparators, oracle_step_losses
 from mixtrack.harness import (
     CSV_CHUNK_ROWS,
@@ -20,6 +21,20 @@ from mixtrack.harness import (
     trace_csv,
 )
 from mixtrack.losses import make_loss
+
+
+class _Laplace(base_module.KTEstimator):
+    """Add-one estimator registered under its own key; it inherits ``name = "kt"``."""
+
+    def predict_rows(self, rows):
+        return (rows[:, 0] + 1.0) / (rows[:, 1] + 2.0)
+
+
+class _NamedKT(base_module.KTEstimator):
+    """KT estimator whose ``name`` is not the key it is registered under."""
+
+    name = "named-kt"
+
 
 CSV_HEADER = "t,outcome,prediction,step_loss,cum_loss,oracle_cum_loss,regret,jt_period,live_experts,created_experts"
 
@@ -189,6 +204,14 @@ class TestRunExperiment:
         cfg = self.make_config(tmp_path, mode="both", scheme="sub")
         summary, _ = run_experiment(cfg)
         assert summary["results"]["lazy_eager_divergence"] == 0.0
+
+    @pytest.mark.parametrize("key, learner", [("laplace", _Laplace), ("other-key", _NamedKT)])
+    def test_both_mode_runs_the_registered_learner(self, tmp_path, monkeypatch, key, learner):
+        monkeypatch.setitem(base_module._BASES, key, learner)
+        _, eager = run_experiment(self.make_config(tmp_path, base=key, mode="eager"), write_files=False)
+        _, both = run_experiment(self.make_config(tmp_path, base=key, mode="both"), write_files=False)
+        assert both.predictions.tobytes() == eager.predictions.tobytes()
+        assert both.step_losses.tobytes() == eager.step_losses.tobytes()
 
     def test_summary_shape(self, tmp_path):
         cfg = self.make_config(tmp_path)

@@ -17,6 +17,7 @@ from mixtrack.schemes import (
     LogScheme,
     PeriodSequence,
     SubScheme,
+    _resetting_at,
     make_scheme,
 )
 
@@ -261,14 +262,33 @@ class _ScheduleOnly:
         self.schedule = scheme.schedule
 
 
+class _Copies:
+    """Calendar of fixed (period, start) copies, listed in creation order."""
+
+    tag = "copies"
+    resetting_at = _resetting_at  # for select_jt
+
+    def __init__(self, *copies):
+        self._period, self._start = np.array(copies, dtype=np.int64).reshape(-1, 2).T
+
+    def schedule(self, T):
+        born = self._start <= T
+        return self._period[born], self._start[born]
+
+
 class TestRestarterFromRows:
     @pytest.mark.parametrize("mode", ["eager", "lazy"])
-    @pytest.mark.parametrize("calendar", ["lin", "log", "sub", "dead"])
+    @pytest.mark.parametrize("calendar", ["lin", "log", "sub", "dead", "tied"])
     def test_jt_matches_select_jt_every_round(self, calendar, mode):
         T = 2**10
 
         def scheme():
-            return dead_scheme() if calendar == "dead" else make_scheme(calendar, horizon=T + 1)
+            if calendar == "dead":
+                return dead_scheme()
+            if calendar == "tied":
+                # (4, 2) and (4, 6) restart together from round 6 on; the earlier start is J_t
+                return _Copies((1, 1), (4, 2), (4, 6))
+            return make_scheme(calendar, horizon=T + 1)
 
         ref = scheme()
         mix = Mixture(_ScheduleOnly(scheme()), make_loss("square"), make_base("running-mean"), mode=mode)
@@ -276,6 +296,18 @@ class TestRestarterFromRows:
             assert mix.jt == select_jt(ref, t)
             mix.step(x)
         assert mix.jt == select_jt(ref, T + 1)
+
+
+class TestCalendarDefects:
+    def test_no_copy_born_at_round_1(self):
+        with pytest.raises(RuntimeError, match="no copy restarts at round 1$"):
+            Mixture(_ScheduleOnly(_Copies((1, 2))), make_loss("square"), make_base("running-mean"))
+
+    def test_round_without_restarter(self):
+        # the one copy restarts on odd rounds only, so round 2 has no J_t
+        mix = Mixture(_ScheduleOnly(_Copies((2, 1))), make_loss("square"), make_base("running-mean"))
+        with pytest.raises(RuntimeError, match="no copy restarts at round 2$"):
+            mix.step(0.0)
 
 
 class TestDeadCopies:
