@@ -12,9 +12,9 @@ for every outcome x, where theta_hat = substitute(thetas, weights).
 ``mixability_slack`` measures the left side minus the right side; it
 must never be negative beyond rounding noise.
 
-Each family also exposes its arithmetic as two unchecked kernels:
-``merge(thetas, weights)`` is the substitution rule and
-``pointwise(theta, x)`` the loss.  The public ``substitute`` and
+Each family also exposes its arithmetic as unchecked kernels: ``merge``
+is the substitution rule, ``pointwise`` the loss and ``factor`` the
+weight factor exp(-alpha * loss).  The public ``substitute`` and
 ``evaluate`` validate their inputs and then call the kernels, so there
 is one arithmetic path; the mixture engine validates each round's
 inputs once itself and calls the kernels directly.
@@ -92,34 +92,12 @@ def _substitute(self, thetas, weights) -> float:
 def _mean_merge(self, th: np.ndarray, w: np.ndarray) -> float:
     """Unchecked substitution: the weighted mean."""
     # Convex combination of in-domain points cannot leave the domain.
-    return float(np.dot(w, th))
+    return float((w * th).sum())
 
 
-def _logsumexp(a, b):
-    """log(sum(b * exp(a))) for equal-length 1-d float arrays, b >= 0.
-
-    Zero-weight entries are masked out and every maximal entry is split
-    off the sum for precision.  Keep these steps and their order: they
-    are those of the library log-sum-exp this replaces, and
-    tests/test_losses.py pins the two against each other.  A result that
-    is not finite is replaced by the direct log(sum(b * exp(a))) on the
-    unmasked input, as the library does: that is the case where the
-    maximal entries carry a subnormal weight and ``s /= m`` overflows.
-    """
-    # a NaN entry leaves m = 0; return NaN quietly, as the library did
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        masked = np.where(b == 0.0, -np.inf, a)
-        a_max = masked.max()
-        mask = masked == a_max
-        m = (b * mask).sum()
-        masked[mask] = -np.inf
-        s = (b * np.exp(masked - a_max)).sum()
-        if s != 0.0:
-            s /= m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log((b * np.exp(a)).sum())
-        return out
+def _exp_factor(self, theta, x: float):
+    """Unchecked weight factor exp(-alpha * loss) of float array ``theta`` on outcome ``x``."""
+    return np.exp(-self.mixability * self.pointwise(theta, x))
 
 
 class SquareLoss:
@@ -129,11 +107,12 @@ class SquareLoss:
     two-sided log-partition formula
 
         theta_hat = 0.5 * (log Z(+1) - log Z(-1)),
-        Z(x) = sum_i w_i * exp(-(theta_i - x)^2 / 2),
+        Z(x) = sum_i w_i * exp(-(theta_i - x)^2 / 2).
 
-    evaluated in the log domain.  For weight on the endpoints the raw
-    value can overshoot [-1, 1] by a few ulps; overshoot beyond
-    ``DOMAIN_SLOP`` is refused instead of clamped.
+    Under weights summing to 1 both sums lie in [e^-2, 1], so they are
+    taken directly.  For weight on the endpoints the raw value can
+    overshoot [-1, 1] by a few ulps; overshoot beyond ``DOMAIN_SLOP`` is
+    refused instead of clamped.
     """
 
     name = "square"
@@ -151,6 +130,8 @@ class SquareLoss:
         """Unchecked loss of a float or float array ``theta`` on outcome ``x``."""
         return (theta - x) ** 2
 
+    factor = _exp_factor
+
     evaluate = _evaluate
 
     def evaluate_pairs(self, thetas, xs) -> np.ndarray:
@@ -164,9 +145,9 @@ class SquareLoss:
 
     def merge(self, th: np.ndarray, w: np.ndarray) -> float:
         """Unchecked substitution of in-domain ``th`` under weights ``w`` summing to 1."""
-        hi = _logsumexp(-0.5 * (th - 1.0) ** 2, w)
-        lo = _logsumexp(-0.5 * (th + 1.0) ** 2, w)
-        val = 0.5 * float(hi - lo)
+        hi = float((w * self.factor(th, 1.0)).sum())
+        lo = float((w * self.factor(th, -1.0)).sum())
+        val = 0.5 * (math.log(hi) - math.log(lo))
         if val > self.pred_high:
             if val - self.pred_high > DOMAIN_SLOP:
                 raise ValueError(f"substitution overshoot {val!r} exceeds tolerance")
@@ -187,7 +168,8 @@ class BernoulliLogLoss:
 
     Mixable with constant 1, and the weighted mean of the predictions
     achieves the mixability inequality with equality, which makes the
-    substitution step a dot product.  Predictions live in
+    substitution step a weighted sum and a copy's weight factor its own
+    probability of the outcome.  Predictions live in
     [BERNOULLI_MARGIN, 1 - BERNOULLI_MARGIN] so the loss stays finite.
     """
 
@@ -205,7 +187,13 @@ class BernoulliLogLoss:
     def pointwise(self, theta, x: float):
         """Unchecked loss of a float or float array ``theta`` on outcome ``x``."""
         # x is a scalar, so only one branch of the loss is ever needed
+        if isinstance(theta, float):  # C library log: no SIMD dispatch moves its bits
+            return -math.log(theta) if x == 1.0 else -math.log1p(-theta)
         return -np.log(theta) if x == 1.0 else -np.log1p(-theta)
+
+    def factor(self, theta, x: float):
+        """Unchecked weight factor exp(-loss): the probability ``theta`` gave outcome ``x``."""
+        return theta if x == 1.0 else 1.0 - theta
 
     evaluate = _evaluate
 
@@ -215,7 +203,7 @@ class BernoulliLogLoss:
         self.validate_prediction(th)
         if np.any((xs != 0.0) & (xs != 1.0)):
             raise ValueError("binary outcome must be exactly 0 or 1")
-        return np.where(xs == 1.0, -np.log(th), -np.log1p(-th))
+        return np.array([self.pointwise(t, x) for t, x in zip(th.tolist(), xs.tolist())], dtype=float)
 
     merge = _mean_merge
 
@@ -284,6 +272,8 @@ class ExpConcaveLoss:
         """Unchecked loss of a float or float array ``theta`` on outcome ``x``."""
         return np.asarray(self._eval_fn(theta, x), dtype=float)
 
+    factor = _exp_factor
+
     evaluate = _evaluate
 
     def evaluate_pairs(self, thetas, xs) -> np.ndarray:
@@ -324,8 +314,8 @@ def register_loss(name: str, factory: Callable) -> None:
 
     ``factory()`` must return an object with the loss interface above:
     name, mixability, pred_low/pred_high, the two validators, the
-    checked ``evaluate`` and ``substitute``, and the unchecked kernels
-    ``pointwise(theta, x)`` and ``merge(thetas, weights)`` they call.
+    checked ``evaluate`` and ``substitute``, the unchecked kernels they call,
+    ``pointwise(theta, x)`` and ``merge(thetas, weights)``, and ``factor``.
     The mixture engine calls only the validators and the kernels, and
     rejects a loss without kernels.  ``ExpConcaveLoss`` supplies all of
     this for an exp-concave family.

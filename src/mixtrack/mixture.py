@@ -1,40 +1,39 @@
 """Aggregation engine over a pool of restarting base-learner copies.
 
-Round t works in three phases.  Predict: the live copies' predictions
-are merged with the loss's substitution rule under the current
-normalized weights.  Ingest: every copy's log-weight absorbs its own
-exponentiated loss on the revealed outcome.  Advance: weights are
-rerouted toward round t+1 by a sparse kernel in which a copy about to
-restart sends its whole mass to the single designated restarter J_{t+1}
-(the restarting copy of largest period), while a copy with runtime u at
-t+1 keeps a (u-1)/u share of its mass and cedes the 1/u remainder to
-J_{t+1}.  Outgoing shares therefore sum to one for every copy, and a
-copy that restarts without being J_{t+1} is left with zero mass until
-it is next designated.
+Weights live in the probability domain, normalized to sum 1, beside an
+alive flag per row.  Round t works in three phases.  Predict: the live
+copies' predictions are merged with the loss's substitution rule under
+their weights.  Ingest: each live weight is multiplied by the copy's
+factor exp(-alpha * loss) on the revealed outcome; under log loss that
+is the copy's own probability of it, so a bernoulli round takes no
+``exp`` or ``log`` over the rows.  Advance: a copy with runtime u at t+1 keeps (u-1)/u of its
+mass and cedes 1/u to the single designated restarter J_{t+1} (the
+restarting copy of largest period); a copy about to restart (u = 1)
+thus sends all of its mass there and, unless it is J_{t+1}, dies until
+it is next designated.  The weights are then divided by their sum, whose
+log the round reports as ``drift``.  A live weight may underflow to an
+exact 0 (about e^-745 below the leader): the live set is read off the
+alive flags, never off the weights.
 
 Every copy the calendar creates gets one row, appended in creation
 order, so a row's index is the copy's id.  The engine compiles the
 calendar's ``schedule`` for a horizon that doubles whenever a round
-passes it; the rows born by t+1 are the schedule rows with start <= t+1.
-J_t depends on the calendar alone, so each compile tabulates J_t's row
-for every round through the horizon; a round no copy restarts on is a
-calendar defect, raised when its horizon is compiled.  A round wipes
-only J_{t+1}'s row.
+passes it, with J_t's row for every round and the shares 1/u and
+(u-1)/u for every runtime; a round no copy restarts on is a calendar
+defect, raised when its horizon is compiled.  A round wipes only
+J_{t+1}'s row.
 
 A round checks its inputs once, before it changes any state: the
 outcome, the copies' predictions, and the merged prediction against the
 loss's domain.  It then calls the loss's unchecked kernels (``merge``,
-``pointwise``), so a step that raises leaves the mixture as it was.
+``pointwise``, ``factor``), so a step that raises leaves the mixture as
+it was.  ``step`` returns the round as a ``StepRecord`` whose fields
+follow the ``Trace`` columns; ``run`` calls ``step`` once per outcome.
 
-``step`` returns the round as a ``StepRecord`` whose fields follow the
-``Trace`` columns; ``run`` calls ``step`` once per outcome and writes
-each record into the columns.
-
-``mode`` only picks the rows a round's base-learner work touches.
-Eager predicts and updates every row, zero-mass rows included.  Lazy
-touches only the rows carrying mass.  In both modes a zero-mass row
-keeps stale statistics until it is next designated, which wipes them.
-Weight reductions run over the massful rows in row order in both modes,
+``mode`` only picks the rows a round's base-learner work touches: eager
+predicts and updates every row, lazy only the live ones.  A dead row
+keeps stale statistics until it is designated, which wipes them.  The
+weight arithmetic runs over the live rows in row order in both modes,
 so the numbers agree bit for bit.
 """
 
@@ -48,10 +47,8 @@ import numpy as np
 
 from .schemes import NEVER, ExpertSpec, runtime, specs
 
-NEG_INF = -math.inf
-
 COLUMNAR_METHODS = ("state_width", "init_rows", "predict_rows", "update_rows")
-LOSS_KERNELS = ("merge", "pointwise")
+LOSS_KERNELS = ("merge", "pointwise", "factor")
 
 
 def transition_weight(src_runtime: int, tgt_runtime: int, same_expert: bool, tgt_is_jt: bool) -> float:
@@ -101,32 +98,65 @@ class StepRecord(NamedTuple):
     map_id: int
 
 
-# dtype of each Trace column, in StepRecord field order
-_DTYPES = (np.int64, float, float, float, float, np.int64, np.int64, np.int64, float, np.int64)
+# the StepRecord fields a Trace stores, and their dtypes; the calendar fixes the others
+_STORED = tuple(StepRecord._fields.index(f) for f in ("outcome", "prediction", "step_loss", "live", "drift", "map_id"))
+_DTYPES = (float, float, float, np.int64, float, np.int64)
+
+
+def _jt_rows(period: np.ndarray, start: np.ndarray, horizon: int) -> np.ndarray:
+    """J_t's schedule row for every round t <= horizon (entry 0 unused), -1 where no copy restarts."""
+    # copies write their row on their restart rounds by period, then by
+    # start descending: the last write is J_t, as in ``select_jt``
+    jt_row = np.full(horizon + 1, -1, dtype=np.int64)
+    for i in np.lexsort((-start, period)):
+        jt_row[start[i] :: period[i]] = i
+    return jt_row
 
 
 @dataclass
 class Trace:
-    """Full run history: one column per StepRecord field, in field order."""
+    """Run history: one column per StepRecord field.
 
-    scheme_tag: str
+    It stores the columns the run produced and computes from ``scheme`` on
+    access the ones the calendar fixes, and the created copies' schedule.
+    """
+
+    scheme: object
     loss_name: str
     mode: str
-    ts: np.ndarray
     outcomes: np.ndarray
     predictions: np.ndarray
     step_losses: np.ndarray
-    jt_periods: np.ndarray
     live: np.ndarray
-    created: np.ndarray
-    work: np.ndarray
     drifts: np.ndarray
     map_ids: np.ndarray
-    id_to_spec: dict
 
     @property
     def horizon(self) -> int:
-        return int(self.ts.size)
+        return int(self.outcomes.size)
+
+    @property
+    def schedule(self) -> tuple:
+        """(period, start) arrays of the copies created, by id: those born by round T + 1."""
+        return self.scheme.schedule(self.horizon + 1)
+
+    @property
+    def ts(self) -> np.ndarray:
+        return np.arange(1, self.horizon + 1)
+
+    @property
+    def created(self) -> np.ndarray:
+        return self.schedule[1].searchsorted(self.ts, "right")
+
+    @property
+    def work(self) -> np.ndarray:
+        return self.live.copy() if self.mode == "lazy" else self.created
+
+    @property
+    def jt_periods(self) -> np.ndarray:
+        period, start = self.schedule
+        p = period[_jt_rows(period, start, self.horizon)[1:]]
+        return np.where(p == NEVER, math.inf, p)
 
     @property
     def total_loss(self) -> float:
@@ -136,9 +166,15 @@ class Trace:
     def total_work(self) -> int:
         return int(np.sum(self.work))
 
+    @property
+    def id_to_spec(self) -> dict:
+        """Every created copy's ExpertSpec by id."""
+        return dict(enumerate(specs(*self.schedule)))
+
     def map_specs(self) -> list:
         """Highest-weight copy at each round."""
-        return [self.id_to_spec[int(i)] for i in self.map_ids]
+        period, start = self.schedule
+        return specs(period[self.map_ids], start[self.map_ids])
 
     def realized_segments(self) -> int:
         """Segments of the per-round highest-weight copy path."""
@@ -159,7 +195,7 @@ class Mixture:
     loss : loss family
         Provides mixability, pred_low/pred_high, the validators
         ``validate_outcome`` and ``validate_prediction``, and the
-        unchecked kernels ``merge`` and ``pointwise``; the engine calls
+        unchecked kernels ``merge``, ``pointwise`` and ``factor``; the engine calls
         each validator once per round and then only the kernels.  A loss
         without the kernels is rejected.
     base : base learner
@@ -191,7 +227,8 @@ class Mixture:
         self.mode = mode
 
         # one row per schedule row born so far: row index = copy id
-        self._logw = np.empty(0)
+        self._w = np.empty(0)
+        self._alive = np.empty(0, dtype=bool)
         self._rows = np.empty((0, base.state_width))
         self.created = 0
         self.t = 1
@@ -199,20 +236,15 @@ class Mixture:
 
         self._compile(1)
         born = int(self._start.searchsorted(1, "right"))
-        self._append(born, math.log(1.0 / born))
+        self._append(born, 1.0 / born, True)
         self._jt = int(self._jt_row[1])
 
     # -- schedule and row storage -----------------------------------------
 
     def _compile(self, horizon: int) -> None:
-        """Compile the schedule through ``horizon``: J_t's row per round, rows and log tables."""
+        """Compile the schedule through ``horizon``: J_t's row per round, rows and share tables."""
         period, start = self.scheme.schedule(horizon)
-        # copies write their row on their restart rounds by period, then by
-        # start descending: the last write is J_t, as in ``select_jt``
-        jt_row = np.full(horizon + 1, -1, dtype=np.int64)
-        order = np.lexsort((-start, period))
-        for i in order:
-            jt_row[start[i] :: period[i]] = i
+        jt_row = _jt_rows(period, start, horizon)
         empty = (jt_row[1:] < 0).nonzero()[0]
         if empty.size:
             raise RuntimeError(f"calendar defect: no copy restarts at round {empty[0] + 1}")
@@ -220,22 +252,22 @@ class Mixture:
         self._period, self._start = period, start
         self._finite_periods = bool((period != NEVER).any())
         n, cap = self.created, self._period.size
-        logw, rows = np.empty(cap), np.empty((cap, self._rows.shape[1]))
-        logw[:n], rows[:n] = self._logw[:n], self._rows[:n]
-        self._logw, self._rows = logw, rows
-        # runtimes never exceed the horizon; the tables are built in place
-        self._log_tab = log_tab = np.arange(horizon + 1, dtype=float)
-        with np.errstate(divide="ignore"):
-            np.log(log_tab, out=log_tab)
-        # stay share log((u-1)/u); -inf at u=1 kills restarting rows
-        self._stay_tab = stay = np.full(horizon + 1, math.inf)
-        np.subtract(log_tab[:-1], log_tab[1:], out=stay[1:])
+        w, alive, rows = np.empty(cap), np.empty(cap, dtype=bool), np.empty((cap, self._rows.shape[1]))
+        w[:n], alive[:n], rows[:n] = self._w[:n], self._alive[:n], self._rows[:n]
+        self._w, self._alive, self._rows = w, alive, rows
+        # shares by runtime u <= horizon: 1/u goes to J_t, (u-1)/u stays (0 at u=1)
+        self._inv_tab = u = np.arange(horizon + 1, dtype=float)
+        self._keep_tab = keep = u - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keep /= u
+            np.divide(1.0, u, out=u)
         self._horizon = horizon
 
-    def _append(self, m: int, logw: float) -> None:
+    def _append(self, m: int, w: float, alive: bool) -> None:
         """Open rows up to schedule row ``m``, base statistics fresh."""
         n = self.created
-        self._logw[n:m] = logw
+        self._w[n:m] = w
+        self._alive[n:m] = alive
         self._rows[n:m] = self.base.init_rows(m - n)
         self.created = m
 
@@ -250,24 +282,22 @@ class Mixture:
         return self._specs_of([self._jt])[0]
 
     def live_table(self):
-        """Pool as (spec, id, log-weight, runtime) tuples.
+        """Pool as (spec, id, log-weight, runtime) tuples: eager lists every created copy, lazy the live ones.
 
-        Eager lists every created copy, lazy only the copies carrying mass.
+        A dead copy's log-weight is -inf, as is a live one's whose weight underflowed to 0.
         """
-        logw = self._logw[: self.created]
-        ids = np.arange(self.created) if self.mode == "eager" else np.flatnonzero(logw > NEG_INF)
+        alive = self._alive[: self.created]
+        ids = np.arange(alive.size) if self.mode == "eager" else np.flatnonzero(alive)
+        with np.errstate(divide="ignore"):
+            logw = np.log(self._w[: alive.size], where=alive, out=np.full(alive.size, -math.inf))
         return [
             (spec, i, float(logw[i]), runtime(self.t, spec)) for spec, i in zip(self._specs_of(ids), ids.tolist())
         ]
 
     def posterior(self) -> dict:
-        """Normalized weights over massful copies at the current round."""
-        logw = self._logw[: self.created]
-        live = np.flatnonzero(logw > NEG_INF)
-        lw = logw[live]
-        mx = lw.max()
-        z = mx + math.log(float(np.exp(lw - mx).sum()))
-        return {spec: math.exp(float(logw[i]) - z) for spec, i in zip(self._specs_of(live), live.tolist())}
+        """Normalized weights of the live copies at the current round."""
+        live = np.flatnonzero(self._alive[: self.created])
+        return dict(zip(self._specs_of(live), self._w[live].tolist()))
 
     # -- the round ---------------------------------------------------------
 
@@ -277,74 +307,74 @@ class Mixture:
         x = float(x)
         loss = self.loss
         loss.validate_outcome(x)
-        logw = self._logw[:n]
-        fin = logw > NEG_INF
-        live = slice(0, n) if fin.all() else fin.nonzero()[0]
-        work = live if self.mode == "lazy" else slice(0, n)
+        if t + 1 > self._horizon:  # before any view of the rows is taken
+            self._compile(2 * self._horizon)
+        w = self._w[:n]
+        alive = self._alive[:n]
+        live = slice(0, n) if alive.all() else alive.nonzero()[0]
+        lazy = self.mode == "lazy"
+        work = live if lazy else slice(0, n)
         rows = self._rows[work]
 
         preds = self.base.predict_rows(rows)
         loss.validate_prediction(preds)
-        lw = logw[live]
-        post = np.exp(lw - lw.max())
-        post /= post.sum()
-        prediction = loss.merge(preds if self.mode == "lazy" else preds[live], post)
+        th = preds if lazy else preds[live]
+        wl = w[live]
+        prediction = loss.merge(th, wl)
         if not (loss.pred_low <= prediction <= loss.pred_high):  # written so that NaN fails
             raise ValueError(f"merged prediction {prediction!r} outside [{loss.pred_low}, {loss.pred_high}]")
         step_loss = loss.pointwise(prediction, x)
-        map_id = int(logw.argmax())
+        map_id = int(w.argmax())
         p = self._period[self._jt]
         jt_period = math.inf if p == NEVER else float(p)
 
-        # ingest: each copy absorbs its own loss, its statistics the outcome
-        losses = loss.pointwise(preds, x)
-        alpha = loss.mixability
-        logw[work] -= losses if alpha == 1.0 else alpha * losses
+        # ingest: each live copy's weight takes its factor, its statistics the outcome
+        wl *= loss.factor(th, x)
         self.base.update_rows(rows, x)
         if not isinstance(work, slice):
             self._rows[work] = rows
         self.work_total += len(rows)
 
-        drift = self._advance(live)
-        return StepRecord(t, x, float(prediction), float(step_loss), jt_period, lw.size, n, len(rows), drift, map_id)
+        drift = self._advance(live, wl)
+        return StepRecord(t, x, float(prediction), float(step_loss), jt_period, wl.size, n, len(rows), drift, map_id)
 
-    def _advance(self, live) -> float:
-        """Route weights from round t to round t+1 and wipe J_{t+1}."""
+    def _advance(self, live, wl: np.ndarray) -> float:
+        """Route the live weights ``wl`` from round t to round t+1, wipe J_{t+1}, normalize."""
         t1 = self.t + 1
-        if t1 > self._horizon:
-            self._compile(2 * self._horizon)
         born = int(self._start.searchsorted(t1, "right"))
         if born > self.created:
-            self._append(born, NEG_INF)
+            self._append(born, 0.0, False)
         jt = int(self._jt_row[t1])
 
-        # runtimes at the destination round of the rows carrying mass
+        # runtimes at the destination round of the live rows
         age = t1 - self._start[live]
         u = (age % self._period[live] if self._finite_periods else age) + 1
 
-        logw = self._logw[: self.created]
-        contrib = logw[live] - self._log_tab[u]
-        cm = contrib.max()
-        if not math.isfinite(cm):
-            raise RuntimeError("weight pool degenerated: no mass to route")
-        inflow = cm + math.log(float(np.exp(contrib - cm).sum()))
-
-        # stayers keep (u-1)/u; a restarting copy (u=1) drops to zero mass
-        logw[live] += self._stay_tab[u]
-        logw[jt] = inflow
+        # stayers keep (u-1)/u; a restarting copy (u=1) dies unless it is J
+        inflow = float((wl * self._inv_tab[u]).sum())
+        wl *= self._keep_tab[u]
+        w = self._w[: self.created]
+        if not isinstance(live, slice):
+            w[live] = wl
+        w[jt] = inflow
+        if self._finite_periods:  # else no live row restarts
+            self._alive[live] = u > 1
+        self._alive[jt] = True
         self._rows[jt] = self.base.init_rows(1)
 
-        shift = float(logw.max())
-        logw -= shift
+        z = float(w.sum())
+        if not z > 0.0:  # written so that NaN fails
+            raise RuntimeError("weight pool degenerated: no mass to route")
+        w /= z
         self._jt = jt
         self.t = t1
-        return shift
+        return math.log(z)
 
     def run(self, xs) -> Trace:
         """Feed a 1-d outcome sequence through ``step`` and collect the trace.
 
-        Each round's StepRecord is written into preallocated columns, one
-        per field, so the trace holds the same numbers ``step`` returns.
+        The stored fields of each round's StepRecord are written into
+        preallocated columns, so the trace holds the numbers ``step`` returns.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1:
@@ -352,8 +382,8 @@ class Mixture:
         if xs.size == 0:
             raise ValueError("empty outcome sequence")
         cols = [np.empty(xs.size, dtype=dt) for dt in _DTYPES]
-        for i, x in enumerate(xs.tolist()):
-            for col, value in zip(cols, self.step(x)):
-                col[i] = value
-        id_to_spec = dict(enumerate(self._specs_of(slice(0, self.created))))
-        return Trace(self.scheme.tag, self.loss.name, self.mode, *cols, id_to_spec=id_to_spec)
+        for i in range(xs.size):  # not xs.tolist(), which holds a float object per round
+            rec = self.step(xs[i])
+            for col, j in zip(cols, _STORED):
+                col[i] = rec[j]
+        return Trace(self.scheme, self.loss.name, self.mode, *cols)

@@ -15,6 +15,21 @@ from mixtrack.mixture import select_jt, transition_weight
 from mixtrack.schemes import runtime
 
 
+def active_dispatch():
+    """numpy's SIMD dispatch targets that this process runs on, in numpy's order."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+
+
+def cpu_fingerprint():
+    """What numpy's float kernels depend on: its version and its active dispatch targets."""
+    return f"numpy {np.__version__}, dispatch {' '.join(active_dispatch()) or '(baseline only)'}"
+
+
 def default_base_name(loss_name):
     return {"bernoulli": "kt", "square": "running-mean"}[loss_name]
 

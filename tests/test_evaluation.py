@@ -83,20 +83,15 @@ class TestDynamicRegret:
         preds = np.concatenate([np.full(3, 0.25), np.full(5, -0.5)])
         step_losses = loss.evaluate_pairs(preds, xs)
         trace = Trace(
-            scheme_tag="lin",
+            scheme=make_scheme("lin"),
             loss_name="square",
             mode="eager",
-            ts=np.arange(1, 9),
             outcomes=xs,
             predictions=preds,
             step_losses=step_losses,
-            jt_periods=np.full(8, math.inf),
-            live=np.ones(8, dtype=np.int64),
-            created=np.ones(8, dtype=np.int64),
-            work=np.ones(8, dtype=np.int64),
+            live=np.arange(1, 9),
             drifts=np.zeros(8),
             map_ids=np.zeros(8, dtype=np.int64),
-            id_to_spec={0: None},
         )
         report = dynamic_regret(trace, seg, loss)
         assert report.regret == 0.0

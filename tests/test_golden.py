@@ -7,6 +7,11 @@ fails here.  The JSON is hashed with its ``files`` and ``out_dir``
 entries dropped, since they hold the temporary output paths.  Update a
 hash only for a change that is meant to alter the numbers, and say so
 in CHANGES.md.
+
+Bernoulli runs compute no transcendental with numpy's SIMD loops, so
+their hashes hold under any CPU dispatch; square runs take ``np.exp``
+and hold only for the numpy build and dispatch targets they were pinned
+on, which a failure names.
 """
 
 import hashlib
@@ -14,6 +19,7 @@ import json
 
 import pytest
 
+from helpers import cpu_fingerprint
 from mixtrack.harness import ExperimentConfig, run_experiment
 
 STREAM = {
@@ -21,56 +27,59 @@ STREAM = {
     "square": ("piecewise-gaussian-clipped", [-0.5, 0.5]),
 }
 
+# the numpy build and dispatch targets the hashes below were computed on
+PINNED_ON = "numpy 2.4.6, dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
 # (scheme, loss, mode) -> (CSV sha256, JSON sha256 without the paths); the
 # two modes write the same CSV, while the JSON records the mode and its work
 GOLDEN = {
     ("lin", "bernoulli", "eager"): (
-        "9a243fa4755854d54f55115a5fbd05fb4800bcb02431e690eeee2013cc75fbbb",
+        "df70b6b3f570143ece896aa90dc9029f8307e07f3b1f1bbc7e1dcc171df74123",
         "5ce24cd56062a2978604632523c5804cb2524d1d45a9144bc7fa0ff6ee70d953",
     ),
     ("lin", "bernoulli", "lazy"): (
-        "9a243fa4755854d54f55115a5fbd05fb4800bcb02431e690eeee2013cc75fbbb",
+        "df70b6b3f570143ece896aa90dc9029f8307e07f3b1f1bbc7e1dcc171df74123",
         "0e60627dda84e72e51567e506be10aefd82fc8bcd6b848b095f93d1b636a5e23",
     ),
     ("lin", "square", "eager"): (
-        "2af019d6aa501993f8498dcf3285ef27124f044b98aabdae1d6ea5cf61bd92f9",
-        "562288e7780f8c81a52e370198cbc09bc2b100f4bb6f28aae789dbfbdc84838c",
+        "ad57cae4ac193b20f1b62765fe9cfc15131589c73e8fb63b0bcb3965ed9613ba",
+        "eea7e919b92961225e914d4348ca2111851f5b0838e21de50d9fb2dc76314b4e",
     ),
     ("lin", "square", "lazy"): (
-        "2af019d6aa501993f8498dcf3285ef27124f044b98aabdae1d6ea5cf61bd92f9",
-        "a01f911a5583bb4c45f54f1b03a4bda529a01aad1a05580fda16d9197df28434",
+        "ad57cae4ac193b20f1b62765fe9cfc15131589c73e8fb63b0bcb3965ed9613ba",
+        "2566b314c4c8d1dfc2f4f3480a6edb1ca614025c6ae3c92a0b62798cb15bcdc2",
     ),
     ("log", "bernoulli", "eager"): (
-        "37d7026f160c2d015f067b0f44f00bbe0251221af2e730aaf3cf19367ae12843",
+        "fab7f345ab68aad52800ce9f2a2daf474c8a9cf84001f5e50928aff8fe7fefe6",
         "d93003cb606703a3ac2d7aa7769e8e519ddb5e5372a1e43decf942d82bb39349",
     ),
     ("log", "bernoulli", "lazy"): (
-        "37d7026f160c2d015f067b0f44f00bbe0251221af2e730aaf3cf19367ae12843",
+        "fab7f345ab68aad52800ce9f2a2daf474c8a9cf84001f5e50928aff8fe7fefe6",
         "4e1691d1b0094faf17a0a0365fa29e662f6e0ae6aa5288cad6da32fdb08ed113",
     ),
     ("log", "square", "eager"): (
-        "a96284ce37b1b3bf1f266e3074dc4b3cd0dd76f4ca1765e83f83020ec48bf39d",
-        "3155c9d6cde2f8a5903c4e593f1e6a5aff33cdae083b9ef9675e22d0f9fb28c3",
+        "3da9738f0c8e9fa0c6a9e0312496f5701e23370aad8a4f3e64da0aed7bc10867",
+        "5c1a10b6623bec6c3686e474878249073c3b08b196cd1a80f9675c6ba9c2fba6",
     ),
     ("log", "square", "lazy"): (
-        "a96284ce37b1b3bf1f266e3074dc4b3cd0dd76f4ca1765e83f83020ec48bf39d",
-        "45e81936df1b1261cdcc1d75c979ca28dcb9ec05906305e42930543dbb9b374a",
+        "3da9738f0c8e9fa0c6a9e0312496f5701e23370aad8a4f3e64da0aed7bc10867",
+        "893e43b76500d69f4acd0d75a0a6fb2ee791010345652a15c1e7a63beb424a30",
     ),
     ("sub", "bernoulli", "eager"): (
-        "a48fb9f9db35caaf414348fb6f5049e6b9b934bc1f3d066bd9d86da286866a81",
-        "1940c16654d6f728435b3a86404010ebb06eee544f5fb44e9b708fac69b5b17d",
+        "e9a55399a6e7e71ba912db1fff3b6ed7b4bc89b7a890fd4550e98af0e144e867",
+        "dccf642e96ef3c451f8553fbad3dc6d9b0207d998d7e3c98758e788888bbd55b",
     ),
     ("sub", "bernoulli", "lazy"): (
-        "a48fb9f9db35caaf414348fb6f5049e6b9b934bc1f3d066bd9d86da286866a81",
-        "4dcc080cc47762afbe79b6dafe3eecda2229e074f006fdd08be0ad58b670ed9a",
+        "e9a55399a6e7e71ba912db1fff3b6ed7b4bc89b7a890fd4550e98af0e144e867",
+        "401ac1b1b87a4271c7e6504a1879d9bcb45472a9e3b11b8a9d33daca9f0c88d1",
     ),
     ("sub", "square", "eager"): (
-        "0e7fdf5f3ea0234e7aa870fba5ae4e7890599074cd786636d649d4975c9e4bfb",
-        "7e7806e5501e9f0c40e1001de059f15368c5d817140708ee6044dd17d232db4a",
+        "3505a6f2f9ba2ec7e1b602261b23aff987a1826b492565258a15f1f4bbff7d79",
+        "d241ea4c0912fc48eb825aa3ba3eed47faab93fe4ae135428e83d288dfdf97e1",
     ),
     ("sub", "square", "lazy"): (
-        "0e7fdf5f3ea0234e7aa870fba5ae4e7890599074cd786636d649d4975c9e4bfb",
-        "915f7f6e3530e859c2c499c912362e9878979d01de94ae1134019499db5c1afb",
+        "3505a6f2f9ba2ec7e1b602261b23aff987a1826b492565258a15f1f4bbff7d79",
+        "e0663f21bf68e3578f877cc2b1d6c557495ae035ef7f309fc4ccc46e840c700b",
     ),
 }
 
@@ -104,4 +113,6 @@ def golden_hashes(scheme, loss, mode, out_dir):
 
 @pytest.mark.parametrize("scheme, loss, mode", sorted(GOLDEN))
 def test_outputs_match_golden_hashes(scheme, loss, mode, tmp_path):
-    assert golden_hashes(scheme, loss, mode, tmp_path) == GOLDEN[scheme, loss, mode]
+    assert golden_hashes(scheme, loss, mode, tmp_path) == GOLDEN[scheme, loss, mode], (
+        f"hashes pinned on {PINNED_ON}; this run: {cpu_fingerprint()}"
+    )

@@ -338,9 +338,22 @@ class TestCli:
             ("run", '{"horizon": null}', "must be integers and sigma a number"),
             ("run", '{"horizon": 8, "segments": 5}', "segments must be null"),
             ("run", '{"horizon": 8, "sigma": "x"}', "must be integers and sigma a number"),
+            ("run", '{"horizon": 8, "label": "../../escape"}', "label must be a plain file name"),
+            ("run", '{"horizon": 8, "label": "/tmp/escape"}', "label must be a plain file name"),
+            ("run", '{"horizon": 8, "label": "sub/escape"}', "label must be a plain file name"),
+            ("run", '{"horizon": true}', "horizon must be an integer, not True"),
+            ("run", '{"horizon": 16.7}', "horizon must be an integer, not 16.7"),
+            ("run", '{"horizon": 8, "seed": false}', "seed must be an integer, not False"),
+            ("run", '{"horizon": 8, "seed": 0.5}', "seed must be an integer, not 0.5"),
+            ("run", '{"horizon": 8, "loss": "square", "stream": "piecewise-gaussian-clipped", "sigma": NaN}',
+             "sigma must be finite and nonnegative, not nan"),
+            ("run", '{"horizon": 8, "loss": "square", "stream": "piecewise-gaussian-clipped", "sigma": Infinity}',
+             "sigma must be finite and nonnegative, not inf"),
         ],
         ids=["invalid-json", "json-array", "sweep-not-a-dict", "sweep-value-not-a-list",
-             "horizon-null", "segments-int", "sigma-string"],
+             "horizon-null", "segments-int", "sigma-string", "label-parent-dir", "label-absolute",
+             "label-separator", "horizon-bool", "horizon-fraction", "seed-bool", "seed-fraction", "sigma-nan",
+             "sigma-inf"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "config.json"
@@ -370,6 +383,12 @@ class TestCli:
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines[1].startswith("lin,bernoulli,,,,") and '"error: ' in lines[1]
         assert lines[2].startswith("lin,bernoulli,8,") and lines[2].endswith('"ok"')
+
+    def test_sweep_error_row_leaves_a_rejected_horizon_blank(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"horizon": 8, "sweep": {"horizon": [16.7, 8]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert lines[1].startswith("lin,bernoulli,,,,") and "horizon must be an integer" in lines[1]
 
     def test_sub_with_slowly_growing_ladder_exits_0(self, capsys):
         argv = ["run", "--scheme", "sub", "--sub-a", "0.25", "--sub-b", "0.1", "--sub-c", "1", "--horizon", "64"]

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ConstantBase, default_base_name, dense_run
+from helpers import ConstantBase, active_dispatch, default_base_name, dense_run
 from mixtrack.base import RunningMean, make_base
 from mixtrack.losses import SquareLoss, make_loss
 from mixtrack.mixture import Mixture, select_jt, transition_weight
@@ -17,6 +21,7 @@ from mixtrack.schemes import (
     LogScheme,
     PeriodSequence,
     SubScheme,
+    _births_at,
     _resetting_at,
     make_scheme,
 )
@@ -102,21 +107,19 @@ class TestSelectJt:
 
 
 class TestAgainstDenseReference:
-    @pytest.mark.parametrize("scheme_tag", ALL_SCHEMES)
+    @pytest.mark.parametrize("scheme_tag", ALL_SCHEMES + ["dead", "tied"])
     @pytest.mark.parametrize("loss_name", ALL_LOSSES)
     def test_matches_dict_reference(self, scheme_tag, loss_name):
+        # both modes on every calendar, and on the dead-copy and tied-restarter fixtures
         T = 17
+
         xs = stream_for(loss_name, T, seed=5)
-        mix = build(scheme_tag, loss_name, horizon=T + 1)
-        trace = mix.run(xs)
-        ref_preds, ref_losses = dense_run(
-            make_scheme(scheme_tag, horizon=T + 1),
-            make_loss(loss_name),
-            make_base(default_base_name(loss_name)),
-            xs,
-        )
-        np.testing.assert_allclose(trace.predictions, ref_preds, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(trace.step_losses, ref_losses, rtol=0, atol=1e-12)
+        loss, base = make_loss(loss_name), make_base(default_base_name(loss_name))
+        ref_preds, ref_losses = dense_run(make_calendar(scheme_tag, T), loss, base, xs)
+        for mode in ("eager", "lazy"):
+            trace = Mixture(make_calendar(scheme_tag, T), loss, base, mode=mode).run(xs)
+            np.testing.assert_allclose(trace.predictions, ref_preds, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.step_losses, ref_losses, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scheme_tag", ALL_SCHEMES)
     def test_prediction_order_invariance(self, scheme_tag):
@@ -254,6 +257,16 @@ def dead_scheme():
     return SubScheme(PeriodSequence([1, 2, 4], [0, 1, 2], [0, 1, 0]))
 
 
+def make_calendar(name, T):
+    """A shipped calendar for T rounds, or the dead-copy or the tied-restarter fixture."""
+    if name == "dead":
+        return dead_scheme()
+    if name == "tied":
+        # (4, 2) and (4, 6) restart together from round 6 on; the earlier start is J_t
+        return _Copies((1, 1), (4, 2), (4, 6))
+    return make_scheme(name, horizon=T + 1)
+
+
 class _ScheduleOnly:
     """Calendar view that exposes schedule and nothing else."""
 
@@ -266,7 +279,8 @@ class _Copies:
     """Calendar of fixed (period, start) copies, listed in creation order."""
 
     tag = "copies"
-    resetting_at = _resetting_at  # for select_jt
+    births_at = _births_at  # for dense_run
+    resetting_at = _resetting_at  # for select_jt and dense_run
 
     def __init__(self, *copies):
         self._period, self._start = np.array(copies, dtype=np.int64).reshape(-1, 2).T
@@ -281,17 +295,9 @@ class TestRestarterFromRows:
     @pytest.mark.parametrize("calendar", ["lin", "log", "sub", "dead", "tied"])
     def test_jt_matches_select_jt_every_round(self, calendar, mode):
         T = 2**10
-
-        def scheme():
-            if calendar == "dead":
-                return dead_scheme()
-            if calendar == "tied":
-                # (4, 2) and (4, 6) restart together from round 6 on; the earlier start is J_t
-                return _Copies((1, 1), (4, 2), (4, 6))
-            return make_scheme(calendar, horizon=T + 1)
-
-        ref = scheme()
-        mix = Mixture(_ScheduleOnly(scheme()), make_loss("square"), make_base("running-mean"), mode=mode)
+        ref = make_calendar(calendar, T)
+        mix = Mixture(_ScheduleOnly(make_calendar(calendar, T)), make_loss("square"), make_base("running-mean"),
+                      mode=mode)
         for t, x in enumerate(stream_for("square", T, seed=4), start=1):
             assert mix.jt == select_jt(ref, t)
             mix.step(x)
@@ -387,8 +393,8 @@ class _NaNMergeLoss(SquareLoss):
 class TestFailedStepChangesNothing:
     def snapshot(self, mix):
         n = mix.created
-        return (mix.t, n, mix.work_total, mix.jt, mix._logw[:n].tobytes(), mix._rows[:n].tobytes(),
-                sorted(mix.posterior().items()))
+        return (mix.t, n, mix.work_total, mix.jt, mix._w[:n].tobytes(), mix._alive[:n].tobytes(),
+                mix._rows[:n].tobytes(), sorted(mix.posterior().items()))
 
     @pytest.mark.parametrize("mode", ["eager", "lazy"])
     @pytest.mark.parametrize("fault", ["bad outcome", "nan outcome", "learner out of domain", "nan merge"])
@@ -431,6 +437,20 @@ class TestTrace:
             assert got.dtype == dtype
             assert got.tobytes() == np.array([getattr(r, field) for r in recs], dtype=dtype).tobytes()
 
+    @pytest.mark.parametrize("name", ["lin", "log", "dead", "tied"])
+    def test_calendar_columns_equal_step_records(self, name):
+        # the columns a trace computes from its calendar, on every calendar and mode
+        T = 50
+        xs = stream_for("square", T, seed=13)
+        for mode in ("eager", "lazy"):
+            mix = Mixture(make_calendar(name, T), make_loss("square"), make_base("running-mean"), mode=mode)
+            recs = [mix.step(x) for x in xs]
+            trace = Mixture(make_calendar(name, T), make_loss("square"), make_base("running-mean"), mode=mode).run(xs)
+            for col, field in (("ts", "t"), ("jt_periods", "jt_period"), ("created", "created"), ("work", "work")):
+                got = getattr(trace, col)
+                assert got.tobytes() == np.array([getattr(r, field) for r in recs], dtype=got.dtype).tobytes()
+            assert trace.id_to_spec == dict(enumerate(mix._specs_of(slice(0, mix.created))))
+
     def test_columns_are_consistent(self):
         T = 64
         xs = stream_for("bernoulli", T, seed=2)
@@ -449,3 +469,54 @@ class TestTrace:
         trace = build("lin", "square", mode="eager").run(xs)
         assert np.array_equal(trace.work, trace.ts)
         assert trace.total_work == T * (T + 1) // 2
+
+
+# Prints the active dispatch targets, then one sha256 per calendar of a
+# bernoulli run's predictions, step losses and their losses by evaluate_pairs
+_DISPATCH_PROBE = """
+import hashlib
+import numpy as np
+from helpers import active_dispatch
+from mixtrack import make_base, make_loss, make_scheme
+from mixtrack.mixture import Mixture
+T = 2**12
+rate = np.where(np.arange(T) // 512 % 2, 0.8, 0.2)
+xs = (np.random.default_rng(7).random(T) < rate).astype(float)
+print(" ".join(active_dispatch()))
+for tag in ("lin", "log", "sub"):
+    loss = make_loss("bernoulli")
+    tr = Mixture(make_scheme(tag, horizon=T + 1), loss, make_base("kt")).run(xs)
+    # evaluate_pairs is the path the oracle and restart-oracle columns take
+    data = tr.predictions.tobytes() + tr.step_losses.tobytes() + loss.evaluate_pairs(tr.predictions, xs).tobytes()
+    print(tag, hashlib.sha256(data).hexdigest())
+"""
+
+
+class TestCpuDispatch:
+    """Bernoulli runs use no numpy transcendental, so numpy's SIMD dispatch cannot move their bytes."""
+
+    @staticmethod
+    def probe(disabled):
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        targets, *hashes = proc.stdout.splitlines()
+        return targets.split(), hashes
+
+    @pytest.mark.parametrize("which", ["avx512", "all"])
+    def test_bernoulli_bytes_independent_of_dispatch(self, which):
+        active = active_dispatch()
+        disabled = [t for t in active if t == "X86_V4" or t.startswith("AVX512")] if which == "avx512" else active
+        if not disabled:
+            pytest.skip(f"no {which} dispatch target is active on this CPU")
+        default_targets, default = self.probe([])
+        restricted_targets, restricted = self.probe(disabled)
+        assert default_targets == active
+        assert not set(disabled) & set(restricted_targets)
+        assert restricted == default

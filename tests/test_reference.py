@@ -7,6 +7,7 @@ tracer.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -83,3 +84,21 @@ def test_engine_total_against_path_sum(tag, loss_name):
     assert np.array_equal(trace.created, expect["created"])
     assert np.array_equal(trace.live, expect["live"])
     assert np.array_equal(trace.jt_periods, expect["jt_period"])
+
+
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_lin_weights_underflow_and_the_pool_stays_exact(mode):
+    # at rates 0.1 and 0.9 the early copies' weights fall below e^-745 and
+    # underflow to an exact 0, while their copies stay alive
+    T = 2**12
+    xs = ref.make_stream("piecewise-bernoulli", T, seed=11, count=8, params=[0.1, 0.9])
+    expect = ref.path_sum("lin", "bernoulli", xs)
+    mix = Mixture(make_scheme("lin", horizon=T + 1), make_loss("bernoulli"), make_base("kt"), mode=mode)
+    trace = mix.run(xs)
+    assert sum(1 for _spec, _id, logw, _u in mix.live_table() if logw == -math.inf) > 0
+    assert np.array_equal(trace.created, expect["created"])
+    assert np.array_equal(trace.live, expect["live"])
+    assert np.array_equal(trace.work, expect["live"] if mode == "lazy" else expect["created"])
+    assert np.array_equal(trace.jt_periods, expect["jt_period"])
+    assert abs(sum(mix.posterior().values()) - 1.0) <= 1e-12
+    assert abs(trace.total_loss - expect["bound"]) <= 1e-12 * abs(expect["bound"])
