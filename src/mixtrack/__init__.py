@@ -17,8 +17,8 @@ base
 schemes
     Reset calendars: when copies are born and when they restart.
 mixture
-    The aggregation engine: one row per created copy, eager or lazy
-    row selection, one StepRecord per round and a Trace of columns.
+    The aggregation engine: one row per created copy, one round path
+    for both modes, one StepRecord per round and a Trace of columns.
 evaluation
     Regret reports, switching bounds, brute-force path oracle.
 harness

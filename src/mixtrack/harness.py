@@ -39,6 +39,14 @@ DEFAULT_BASE_FOR = {"square": "running-mean", "bernoulli": "kt"}
 
 STREAMS = ("piecewise-bernoulli", "piecewise-gaussian-clipped", "adversarial-alternating")
 
+
+def _integer(name: str, v) -> int:
+    """``v`` as an int; a bool or a float with a fractional part is rejected, not truncated."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
+    return int(v)
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment.  ``segments`` is either an explicit list of
@@ -67,13 +75,15 @@ class ExperimentConfig:
             raise ValueError("mode must be eager, lazy or both")
         if self.stream not in STREAMS:
             raise ValueError(f"unknown stream {self.stream!r}; expected one of {STREAMS}")
-        for name in ("horizon", "seed"):
+        if not isinstance(self.loss, str) or not isinstance(self.base, (str, type(None))):
+            raise ValueError(f"loss must be a string and base a string or null, not {self.loss!r} and {self.base!r}")
+        for name in ("sub_a", "sub_b", "sub_c"):
             v = getattr(self, name)
-            if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
-                raise ValueError(f"{name} must be an integer, not {v!r}")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not -math.inf < v < math.inf:
+                raise ValueError(f"{name} must be a finite number, not {v!r}")
         try:
-            self.horizon = int(self.horizon)
-            self.seed = int(self.seed)
+            self.horizon = _integer("horizon", self.horizon)
+            self.seed = _integer("seed", self.seed)
             bad_sigma = not 0.0 <= self.sigma < math.inf  # written so that NaN fails
         except TypeError:
             raise ValueError("horizon and seed must be integers and sigma a number, not "
@@ -101,10 +111,10 @@ class ExperimentConfig:
             return [(self.horizon, neutral)]
         try:
             if isinstance(seg, dict):
-                count = int(seg.get("count", 1))
+                count = _integer("segments count", seg.get("count", 1))
                 params = [float(p) for p in seg.get("params", [neutral])]
             else:
-                out = [(int(n), float(p)) for n, p in seg]
+                out = [(_integer("segments length", n), float(p)) for n, p in seg]
         except TypeError:
             raise ValueError(
                 f"segments must be null, a {{count, params}} dict or a list of [length, param] pairs, not {seg!r}"
@@ -245,9 +255,9 @@ def trace_csv(trace, oracle_steps) -> str:
 def run_experiment(config: ExperimentConfig, write_files: bool = True):
     """Simulate one config; returns (summary dict, primary trace).
 
-    With mode "both" the lazy and eager engines run side by side and
-    must agree bit for bit on predictions and step losses, else the run
-    fails; their restarter periods come from the one calendar.  The
+    The modes run the same rounds and count different work.  With mode
+    "both" a lazy and an eager mixture run side by side and must agree
+    bit for bit on predictions and step losses, else the run fails.  The
     eager trace is the one reported.
     """
     scheme, loss, base = _build(config)

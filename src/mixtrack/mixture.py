@@ -30,11 +30,10 @@ loss's domain.  It then calls the loss's unchecked kernels (``merge``,
 it was.  ``step`` returns the round as a ``StepRecord`` whose fields
 follow the ``Trace`` columns; ``run`` calls ``step`` once per outcome.
 
-``mode`` only picks the rows a round's base-learner work touches: eager
-predicts and updates every row, lazy only the live ones.  A dead row
-keeps stale statistics until it is designated, which wipes them.  The
-weight arithmetic runs over the live rows in row order in both modes,
-so the numbers agree bit for bit.
+Both modes run one round path: every created row, dead or live, is
+predicted and updated; the weight arithmetic gathers the live rows, as
+summing dead rows' zeros would regroup numpy's pairwise sums.  ``mode``
+only picks the rows ``work`` counts and ``live_table`` lists.
 """
 
 from __future__ import annotations
@@ -204,9 +203,8 @@ class Mixture:
         ``predict_rows``, ``update_rows``): the copies' statistics are
         rows of one array.
     mode : {"eager", "lazy"}
-        Which rows a round's base-learner work touches; the computed
-        numbers are identical.  In both modes a dead restarter keeps
-        stale statistics until it is designated.
+        Which rows a round counts as its ``work`` and ``live_table``
+        lists: every created row, or the live ones; the rounds are equal.
     """
 
     def __init__(self, scheme, loss, base, mode: str = "eager"):
@@ -312,13 +310,11 @@ class Mixture:
         w = self._w[:n]
         alive = self._alive[:n]
         live = slice(0, n) if alive.all() else alive.nonzero()[0]
-        lazy = self.mode == "lazy"
-        work = live if lazy else slice(0, n)
-        rows = self._rows[work]
+        rows = self._rows[:n]
 
         preds = self.base.predict_rows(rows)
         loss.validate_prediction(preds)
-        th = preds if lazy else preds[live]
+        th = preds[live]
         wl = w[live]
         prediction = loss.merge(th, wl)
         if not (loss.pred_low <= prediction <= loss.pred_high):  # written so that NaN fails
@@ -328,15 +324,14 @@ class Mixture:
         p = self._period[self._jt]
         jt_period = math.inf if p == NEVER else float(p)
 
-        # ingest: each live copy's weight takes its factor, its statistics the outcome
+        # ingest: each live copy's weight takes its factor, every copy's statistics the outcome
         wl *= loss.factor(th, x)
         self.base.update_rows(rows, x)
-        if not isinstance(work, slice):
-            self._rows[work] = rows
-        self.work_total += len(rows)
+        work = wl.size if self.mode == "lazy" else n
+        self.work_total += work
 
         drift = self._advance(live, wl)
-        return StepRecord(t, x, float(prediction), float(step_loss), jt_period, wl.size, n, len(rows), drift, map_id)
+        return StepRecord(t, x, float(prediction), float(step_loss), jt_period, wl.size, n, work, drift, map_id)
 
     def _advance(self, live, wl: np.ndarray) -> float:
         """Route the live weights ``wl`` from round t to round t+1, wipe J_{t+1}, normalize."""

@@ -232,7 +232,11 @@ class PeriodSequence:
             while not grows(n + step):
                 n, step = n + step, 2 * step
             self._raw_n = n + 1 + bisect_left(range(n + 1, n + step + 1), True, key=grows)
-            f = self._raw_period(self.params, self._raw_n)
+            try:
+                f = self._raw_period(self.params, self._raw_n)
+            except OverflowError:
+                raise ValueError(f"ladder parameters (a, b, c) = {self.params}: the period after {prev}, "
+                                 f"f({self._raw_n}), overflows a float") from None
             q, r = divmod(f, prev)
         else:
             # Doubling rule; the offset equal to the previous period keeps

@@ -349,11 +349,25 @@ class TestCli:
              "sigma must be finite and nonnegative, not nan"),
             ("run", '{"horizon": 8, "loss": "square", "stream": "piecewise-gaussian-clipped", "sigma": Infinity}',
              "sigma must be finite and nonnegative, not inf"),
+            ("run", '{"horizon": 8, "segments": [[4.9, 0.2], [4.9, 0.8]]}',
+             "segments length must be an integer, not 4.9"),
+            ("run", '{"horizon": 8, "segments": [[true, 0.2], [7, 0.8]]}',
+             "segments length must be an integer, not True"),
+            ("run", '{"horizon": 8, "segments": {"count": true}}', "segments count must be an integer, not True"),
+            ("run", '{"horizon": 8, "loss": ["x"]}',
+             "loss must be a string and base a string or null, not ['x'] and None"),
+            ("run", '{"horizon": 8, "base": ["kt"]}',
+             "loss must be a string and base a string or null, not 'bernoulli' and ['kt']"),
+            ("run", '{"horizon": 8, "scheme": "sub", "sub_a": "x"}', "sub_a must be a finite number, not 'x'"),
+            ("run", '{"horizon": 8, "scheme": "sub", "sub_a": Infinity}', "sub_a must be a finite number, not inf"),
+            ("run", '{"horizon": 8, "scheme": "sub", "sub_c": Infinity}', "sub_c must be a finite number, not inf"),
+            ("run", '{"horizon": 8, "scheme": "sub", "sub_a": true}', "sub_a must be a finite number, not True"),
         ],
         ids=["invalid-json", "json-array", "sweep-not-a-dict", "sweep-value-not-a-list",
              "horizon-null", "segments-int", "sigma-string", "label-parent-dir", "label-absolute",
              "label-separator", "horizon-bool", "horizon-fraction", "seed-bool", "seed-fraction", "sigma-nan",
-             "sigma-inf"],
+             "sigma-inf", "segment-length-fraction", "segment-length-bool", "segment-count-bool", "loss-list",
+             "base-list", "sub-a-string", "sub-a-inf", "sub-c-inf", "sub-a-bool"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "config.json"
@@ -389,6 +403,11 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines[1].startswith("lin,bernoulli,,,,") and "horizon must be an integer" in lines[1]
+
+    def test_sub_ladder_past_the_float_range_exits_2(self, capsys):
+        assert main(["run", "--scheme", "sub", "--sub-b", "50", "--horizon", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ladder parameters (a, b, c) = (1.0, 50.0, 1.5)")
 
     def test_sub_with_slowly_growing_ladder_exits_0(self, capsys):
         argv = ["run", "--scheme", "sub", "--sub-a", "0.25", "--sub-b", "0.1", "--sub-c", "1", "--horizon", "64"]

@@ -339,6 +339,26 @@ class TestDeadCopies:
         assert ExpertSpec(2, 2) in eager_specs
 
 
+class TestOneRoundPath:
+    @pytest.mark.parametrize("loss_name", ALL_LOSSES)
+    @pytest.mark.parametrize("calendar", ["lin", "log", "sub", "dead", "tied"])
+    def test_modes_keep_bitwise_equal_state(self, calendar, loss_name):
+        # the modes differ only in the work they count: weights, alive flags
+        # and every created row's statistics, dead rows included, agree
+        T = 200
+        loss, base = make_loss(loss_name), make_base(default_base_name(loss_name))
+        eager = Mixture(make_calendar(calendar, T), loss, base, mode="eager")
+        lazy = Mixture(make_calendar(calendar, T), loss, base, mode="lazy")
+        for x in stream_for(loss_name, T, seed=9):
+            rec_e, rec_l = eager.step(x), lazy.step(x)
+            assert rec_e._replace(work=None) == rec_l._replace(work=None)
+            n = eager.created
+            assert lazy.created == n
+            assert eager._w[:n].tobytes() == lazy._w[:n].tobytes()
+            assert eager._alive[:n].tobytes() == lazy._alive[:n].tobytes()
+            assert eager._rows[:n].tobytes() == lazy._rows[:n].tobytes()
+
+
 class TestConstruction:
     def test_mode_validation(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,11 @@ class TestPeriodSequence:
         assert seq.periods == [1, 4745372]
         assert seq._raw_n == 3
 
+    def test_period_past_the_float_range_is_a_value_error(self):
+        # f(2) = floor(exp(2**50)) overflows, so no second rung can be built
+        with pytest.raises(ValueError, match=r"^ladder parameters \(a, b, c\) = \(1, 50, 1\): .* f\(2\), overflows"):
+            PeriodSequence.from_params(1, 50, 1)
+
     @pytest.mark.parametrize("params", [(1.0, 0.5, 1.5), (0.8, 0.7, 1.2), (1.2, 0.4, 1.0), (3.0, 1.5, 2.5)])
     def test_ladder_matches_stepwise_scan(self, params):
         periods, raw, n = [1], [1], 1

@@ -73,3 +73,19 @@ def test_traced_run_counts_steps_and_rows():
     assert metrics["mixture.step.calls"]["value"] == T
     assert metrics["mixture.work_rows"]["value"] == trace.total_work
     assert metrics["mixture.live_rows"]["value"] == int(trace.live.sum())
+
+
+def test_traced_base_rows_equal_in_both_modes():
+    # both modes predict and update every created row; only the work they count differs
+    T = 40
+    xs = (np.random.default_rng(3).random(T) < 0.4).astype(float)
+    rows = {}
+    for mode in ("eager", "lazy"):
+        tracer = load_tracer()()
+        try:
+            tracer.install()
+            Mixture(make_scheme("sub", horizon=T + 1), make_loss("bernoulli"), make_base("kt"), mode=mode).run(xs)
+        finally:
+            tracer.uninstall()
+        rows[mode] = tracer.metrics()["base.rows"]["value"]
+    assert rows["lazy"] == rows["eager"] > 0
