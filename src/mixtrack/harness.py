@@ -41,10 +41,17 @@ STREAMS = ("piecewise-bernoulli", "piecewise-gaussian-clipped", "adversarial-alt
 
 
 def _integer(name: str, v) -> int:
-    """``v`` as an int; a bool or a float with a fractional part is rejected, not truncated."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    """``v`` as an int; a bool, a string or a float with a fractional part is rejected, not converted."""
+    if isinstance(v, (bool, str)) or (isinstance(v, float) and not v.is_integer()):
         raise ValueError(f"{name} must be an integer, not {v!r}")
     return int(v)
+
+
+def _number(name: str, v) -> float:
+    """``v`` as a float; anything but an int or a float, a bool included, is rejected."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{name} must be a number, not {v!r}")
+    return float(v)
 
 
 @dataclass
@@ -81,6 +88,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not -math.inf < v < math.inf:
                 raise ValueError(f"{name} must be a finite number, not {v!r}")
+        if isinstance(self.sigma, bool):
+            raise ValueError(f"sigma must be a number, not {self.sigma!r}")
         try:
             self.horizon = _integer("horizon", self.horizon)
             self.seed = _integer("seed", self.seed)
@@ -112,9 +121,9 @@ class ExperimentConfig:
         try:
             if isinstance(seg, dict):
                 count = _integer("segments count", seg.get("count", 1))
-                params = [float(p) for p in seg.get("params", [neutral])]
+                params = [_number("segments param", p) for p in seg.get("params", [neutral])]
             else:
-                out = [(_integer("segments length", n), float(p)) for n, p in seg]
+                out = [(_integer("segments length", n), _number("segments param", p)) for n, p in seg]
         except TypeError:
             raise ValueError(
                 f"segments must be null, a {{count, params}} dict or a list of [length, param] pairs, not {seg!r}"
@@ -226,7 +235,7 @@ def _csv_chunks(trace, oracle_steps):
     yield CSV_HEADER + "\n"
     cum = np.cumsum(trace.step_losses)
     ocum = np.cumsum(oracle_steps)
-    ts, jt_periods, created = trace.ts, trace.jt_periods, trace.created  # computed on each access
+    ts, jt_periods, live, created = trace.ts, trace.jt_periods, trace.live, trace.created  # computed on each access
     for lo in range(0, trace.horizon, CSV_CHUNK_ROWS):
         part = slice(lo, lo + CSV_CHUNK_ROWS)
         c, o = cum[part], ocum[part]
@@ -239,7 +248,7 @@ def _csv_chunks(trace, oracle_steps):
             o.tolist(),
             (c - o).tolist(),
             jt_periods[part].tolist(),
-            trace.live[part].tolist(),
+            live[part].tolist(),
             created[part].tolist(),
         )
         yield "".join(

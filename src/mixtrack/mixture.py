@@ -18,14 +18,30 @@ alive flags, never off the weights.
 Every copy the calendar creates gets one row, appended in creation
 order, so a row's index is the copy's id.  The engine compiles the
 calendar's ``schedule`` for a horizon that doubles whenever a round
-passes it, with J_t's row for every round and the shares 1/u and
-(u-1)/u for every runtime; a round no copy restarts on is a calendar
-defect, raised when its horizon is compiled.  A round wipes only
-J_{t+1}'s row.
+passes it, with J_t's row for every round; a round no copy restarts on
+is a calendar defect, raised when its horizon is compiled.  A round
+wipes only J_{t+1}'s row.
 
-A round checks its inputs once, before it changes any state: the
-outcome, the copies' predictions, and the merged prediction against the
-loss's domain.  It then calls the loss's unchecked kernels (``merge``,
+The schedule and the outcomes fix everything a round needs but the
+weights.  So ``run`` builds the tables of a block of rounds in a few
+array calls: the rows' statistics by the learner's own ``update_rows``,
+one call per round; their predictions by one ``predict_rows`` call; and
+the runtimes u at the destination round, with the shares 1/u and
+(u-1)/u and the stay mask u > 1.  A block holds at most ``_BLOCK_CELLS``
+rounds x rows and stays within the compiled horizon.  ``step`` reads its
+round's row and does only the weight arithmetic.  Any other round is a
+one-round block built from the rows, which ``step`` then updates in
+place: a bare ``step`` (online use), a round of a pool too large for
+two rounds per block (``lin`` past 2^11 copies), a round that compiles,
+and a round whose outcome or predictions fail their checks.
+
+A round checks its inputs before it changes any state: the outcome with
+``validate_outcome``, and the copies' predictions and the merged
+prediction against the loss's domain [pred_low, pred_high]; predictions
+outside it raise through ``validate_prediction``, with the loss's
+message.  A block checks its outcomes and predictions once, and ends
+before the first round that fails; that round raises as a bare step.
+The round then calls the loss's unchecked kernels (``merge``,
 ``pointwise``, ``factor``), so a step that raises leaves the mixture as
 it was.  ``step`` returns the round as a ``StepRecord`` whose fields
 follow the ``Trace`` columns; ``run`` calls ``step`` once per outcome.
@@ -39,7 +55,6 @@ only picks the rows ``work`` counts and ``live_table`` lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -102,6 +117,35 @@ _STORED = tuple(StepRecord._fields.index(f) for f in ("outcome", "prediction", "
 _DTYPES = (float, float, float, np.int64, float, np.int64)
 
 
+class _Block(NamedTuple):
+    """The outcome-fixed tables of a run of rounds, one row per round.
+
+    ``preds`` holds the predictions of every row the block opens, and
+    ``inv``, ``keep`` and ``stay`` the shares 1/u and (u-1)/u and u > 1 of
+    runtime u at the destination round; ``born`` and ``jt`` give the rows
+    open after each round and J_{t+1}'s row.  ``stats`` holds the rows'
+    statistics at the start of each round and after the last.
+    """
+
+    xs: list
+    preds: np.ndarray
+    inv: np.ndarray
+    keep: np.ndarray
+    stay: np.ndarray
+    born: list
+    jt: list
+    stats: np.ndarray
+
+
+_BLOCK_CELLS = 2**12  # rounds x rows that one block's tables hold
+
+
+def _narrow(col) -> np.ndarray:
+    """A column of counts or ids in the narrowest unsigned dtype that holds its largest entry."""
+    col = np.asarray(col)
+    return col.astype(np.min_scalar_type(col.max(initial=0)))
+
+
 def _jt_rows(period: np.ndarray, start: np.ndarray, horizon: int) -> np.ndarray:
     """J_t's schedule row for every round t <= horizon (entry 0 unused), -1 where no copy restarts."""
     # copies write their row on their restart rounds by period, then by
@@ -112,23 +156,29 @@ def _jt_rows(period: np.ndarray, start: np.ndarray, horizon: int) -> np.ndarray:
     return jt_row
 
 
-@dataclass
 class Trace:
     """Run history: one column per StepRecord field.
 
     It stores the columns the run produced and computes from ``scheme`` on
     access the ones the calendar fixes, and the created copies' schedule.
+    The live counts and MAP ids are stored in the narrowest unsigned dtype
+    that holds them, at most 2 bytes each below 2^16 copies, and read as
+    int64.
     """
 
-    scheme: object
-    loss_name: str
-    mode: str
-    outcomes: np.ndarray
-    predictions: np.ndarray
-    step_losses: np.ndarray
-    live: np.ndarray
-    drifts: np.ndarray
-    map_ids: np.ndarray
+    def __init__(self, scheme, loss_name: str, mode: str, outcomes: np.ndarray, predictions: np.ndarray,
+                 step_losses: np.ndarray, live: np.ndarray, drifts: np.ndarray, map_ids: np.ndarray):
+        self.scheme, self.loss_name, self.mode = scheme, loss_name, mode
+        self.outcomes, self.predictions, self.step_losses, self.drifts = outcomes, predictions, step_losses, drifts
+        self._live, self._map_ids = _narrow(live), _narrow(map_ids)
+
+    @property
+    def live(self) -> np.ndarray:
+        return self._live.astype(np.int64)
+
+    @property
+    def map_ids(self) -> np.ndarray:
+        return self._map_ids.astype(np.int64)
 
     @property
     def horizon(self) -> int:
@@ -149,7 +199,7 @@ class Trace:
 
     @property
     def work(self) -> np.ndarray:
-        return self.live.copy() if self.mode == "lazy" else self.created
+        return self.live if self.mode == "lazy" else self.created
 
     @property
     def jt_periods(self) -> np.ndarray:
@@ -173,13 +223,12 @@ class Trace:
     def map_specs(self) -> list:
         """Highest-weight copy at each round."""
         period, start = self.schedule
-        return specs(period[self.map_ids], start[self.map_ids])
+        return specs(period[self._map_ids], start[self._map_ids])
 
     def realized_segments(self) -> int:
         """Segments of the per-round highest-weight copy path."""
-        if self.map_ids.size == 0:
-            return 0
-        return 1 + int(np.count_nonzero(np.diff(self.map_ids)))
+        ids = self._map_ids
+        return 1 + int(np.count_nonzero(ids[1:] != ids[:-1])) if ids.size else 0
 
 
 class Mixture:
@@ -194,9 +243,11 @@ class Mixture:
     loss : loss family
         Provides mixability, pred_low/pred_high, the validators
         ``validate_outcome`` and ``validate_prediction``, and the
-        unchecked kernels ``merge``, ``pointwise`` and ``factor``; the engine calls
-        each validator once per round and then only the kernels.  A loss
-        without the kernels is rejected.
+        unchecked kernels ``merge``, ``pointwise`` and ``factor``.  The
+        engine calls ``validate_outcome`` once per round, checks the
+        predictions against [pred_low, pred_high] and calls
+        ``validate_prediction`` on a round that fails, for its message;
+        then only the kernels.  A loss without the kernels is rejected.
     base : base learner
         Must declare ``loss_family`` matching ``loss.name`` and expose the
         columnar interface (``state_width``, ``init_rows``,
@@ -232,6 +283,9 @@ class Mixture:
         self.t = 1
         self.work_total = 0
 
+        self._fresh = base.init_rows(1)
+        self._block, self._j = None, 0
+
         self._compile(1)
         born = int(self._start.searchsorted(1, "right"))
         self._append(born, 1.0 / born, True)
@@ -240,7 +294,7 @@ class Mixture:
     # -- schedule and row storage -----------------------------------------
 
     def _compile(self, horizon: int) -> None:
-        """Compile the schedule through ``horizon``: J_t's row per round, rows and share tables."""
+        """Compile the schedule through ``horizon``: J_t's row per round, and row storage."""
         period, start = self.scheme.schedule(horizon)
         jt_row = _jt_rows(period, start, horizon)
         empty = (jt_row[1:] < 0).nonzero()[0]
@@ -253,12 +307,6 @@ class Mixture:
         w, alive, rows = np.empty(cap), np.empty(cap, dtype=bool), np.empty((cap, self._rows.shape[1]))
         w[:n], alive[:n], rows[:n] = self._w[:n], self._alive[:n], self._rows[:n]
         self._w, self._alive, self._rows = w, alive, rows
-        # shares by runtime u <= horizon: 1/u goes to J_t, (u-1)/u stays (0 at u=1)
-        self._inv_tab = u = np.arange(horizon + 1, dtype=float)
-        self._keep_tab = keep = u - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            keep /= u
-            np.divide(1.0, u, out=u)
         self._horizon = horizon
 
     def _append(self, m: int, w: float, alive: bool) -> None:
@@ -300,21 +348,47 @@ class Mixture:
     # -- the round ---------------------------------------------------------
 
     def step(self, x: float) -> StepRecord:
-        """Predict on round t, ingest outcome ``x``, advance to round t+1."""
+        """Predict on round t, ingest outcome ``x``, advance to round t+1.
+
+        The round reads its row of the open block if ``run`` built one with
+        this outcome; otherwise it is a one-round block: the rows'
+        statistics predict, are checked and take the outcome in place.
+        """
         t, n = self.t, self.created
         x = float(x)
         loss = self.loss
-        loss.validate_outcome(x)
-        if t + 1 > self._horizon:  # before any view of the rows is taken
-            self._compile(2 * self._horizon)
+        blk = self._block
+        if blk is not None and x != blk.xs[self._j]:  # not the outcome the block was built with
+            self._settle()
+            blk = None
+        if blk is None:
+            loss.validate_outcome(x)
+            if t + 1 > self._horizon:  # before any view of the rows is taken
+                self._compile(2 * self._horizon)
         w = self._w[:n]
         alive = self._alive[:n]
-        live = slice(0, n) if alive.all() else alive.nonzero()[0]
-        rows = self._rows[:n]
-
-        preds = self.base.predict_rows(rows)
-        loss.validate_prediction(preds)
-        th = preds[live]
+        live = slice(0, n) if np.count_nonzero(alive) == n else alive.nonzero()[0]
+        if blk is None:
+            rows = self._rows[:n]
+            preds = self.base.predict_rows(rows)
+            if not ((preds >= loss.pred_low) & (preds <= loss.pred_high)).all():  # written so that NaN fails
+                loss.validate_prediction(preds)  # raises with the loss's message
+            th = preds[live]
+            # runtimes at the destination round, as floats, which divide faster
+            if self._finite_periods:
+                u = (t + 1 - self._start[live]) % self._period[live] + 1.0
+            else:  # age + 1
+                u = np.subtract(t + 2, self._start[live], dtype=float)
+            inv, keep = 1.0 / u, (u - 1.0) / u
+            stay = u > 1.0 if self._finite_periods else None
+            # rows born at t+1: most rounds open none and need no search
+            start = self._start
+            born = n if n == start.size or start[n] > t + 1 else int(start.searchsorted(t + 1, "right"))
+            jt = int(self._jt_row[t + 1])
+        else:
+            j = self._j
+            th, inv, keep, stay = blk.preds[j][live], blk.inv[j][live], blk.keep[j][live], blk.stay[j][live]
+            born, jt = blk.born[j], blk.jt[j]
         wl = w[live]
         prediction = loss.merge(th, wl)
         if not (loss.pred_low <= prediction <= loss.pred_high):  # written so that NaN fails
@@ -326,49 +400,106 @@ class Mixture:
 
         # ingest: each live copy's weight takes its factor, every copy's statistics the outcome
         wl *= loss.factor(th, x)
-        self.base.update_rows(rows, x)
+        if blk is None:
+            self.base.update_rows(rows, x)
         work = wl.size if self.mode == "lazy" else n
         self.work_total += work
 
-        drift = self._advance(live, wl)
-        return StepRecord(t, x, float(prediction), float(step_loss), jt_period, wl.size, n, work, drift, map_id)
-
-    def _advance(self, live, wl: np.ndarray) -> float:
-        """Route the live weights ``wl`` from round t to round t+1, wipe J_{t+1}, normalize."""
-        t1 = self.t + 1
-        born = int(self._start.searchsorted(t1, "right"))
-        if born > self.created:
+        # advance: rows born at t+1 open dead; stayers keep (u-1)/u, J_{t+1} takes
+        # the 1/u shares, and a restarting copy (u=1) dies unless it is J
+        if born > n:
             self._append(born, 0.0, False)
-        jt = int(self._jt_row[t1])
-
-        # runtimes at the destination round of the live rows
-        age = t1 - self._start[live]
-        u = (age % self._period[live] if self._finite_periods else age) + 1
-
-        # stayers keep (u-1)/u; a restarting copy (u=1) dies unless it is J
-        inflow = float((wl * self._inv_tab[u]).sum())
-        wl *= self._keep_tab[u]
-        w = self._w[: self.created]
+        inflow = float((wl * inv).sum())
+        wl *= keep
+        w = self._w[:born]
         if not isinstance(live, slice):
             w[live] = wl
         w[jt] = inflow
         if self._finite_periods:  # else no live row restarts
-            self._alive[live] = u > 1
+            self._alive[live] = stay
         self._alive[jt] = True
-        self._rows[jt] = self.base.init_rows(1)
+        if blk is None:
+            self._rows[jt] = self._fresh
+        else:
+            self._j += 1
+            if self._j == len(blk.xs):
+                self._settle()
 
         z = float(w.sum())
         if not z > 0.0:  # written so that NaN fails
             raise RuntimeError("weight pool degenerated: no mass to route")
         w /= z
         self._jt = jt
-        self.t = t1
-        return math.log(z)
+        self.t = t + 1
+        return StepRecord(t, x, float(prediction), float(step_loss), jt_period, wl.size, n, work, math.log(z), map_id)
+
+    def _open(self, xs: np.ndarray) -> None:
+        """Open a block for the next rounds, with outcomes ``xs``, if one holds at least two.
+
+        A block holds at most ``_BLOCK_CELLS`` rounds x rows, ends before the
+        first round past the compiled horizon, and ends before its first
+        invalid outcome or prediction outside [pred_low, pred_high]: that
+        round is a one-round block, which raises.
+        """
+        t0, n0 = self.t, self.created
+        size = min(xs.size, self._horizon - t0, _BLOCK_CELLS // n0)
+        if size < 2:
+            return
+        start, base, loss = self._start, self.base, self.loss
+        m = int(start.searchsorted(t0 + size, "right"))  # rows open after the last round
+        if size * m > _BLOCK_CELLS:
+            size = _BLOCK_CELLS // m
+            m = int(start.searchsorted(t0 + size, "right"))
+        xl = xs[:size].tolist()
+        ts = np.arange(t0, t0 + size)
+        born = start.searchsorted(ts + 1, "right").tolist()
+        jt = self._jt_row[t0 + 1 : t0 + size + 1].tolist()
+
+        # the rows' statistics at the start of each round, and after the last;
+        # a row not open yet stays fresh, so it predicts as it will when born
+        stats = np.empty((size + 1, m, self._rows.shape[1]))
+        stats[0, :n0] = self._rows[:n0]
+        stats[0, n0:] = base.init_rows(m - n0)
+        fresh, b = self._fresh, n0
+        for i, x in enumerate(xl):
+            try:
+                loss.validate_outcome(x)
+            except ValueError:
+                size = i
+                break
+            row = stats[i + 1]
+            row[...] = stats[i]
+            base.update_rows(row[:b], x)
+            row[jt[i]] = fresh
+            b = born[i]
+        if size < 2:
+            return
+        preds = base.predict_rows(stats[:size].reshape(size * m, -1)).reshape(size, m)
+        ok = ((preds >= loss.pred_low) & (preds <= loss.pred_high)).all(axis=1)  # written so that NaN fails
+        if not ok.all():
+            size = int(ok.argmin())
+        if size < 2:
+            return
+
+        # runtimes at the destination round; a row not open yet gets one it never reads
+        u = (ts[:size, None] + 1 - start[:m]) % self._period[:m] + 1.0
+        self._block = _Block(xl[:size], preds, 1.0 / u, (u - 1.0) / u, u > 1.0, born, jt, stats)
+        self._j = 0
+
+    def _settle(self) -> None:
+        """Close the open block: the rows take its statistics of the current round."""
+        blk = self._block
+        if blk is not None:
+            n = self.created
+            self._rows[:n] = blk.stats[self._j, :n]
+            self._block = None
 
     def run(self, xs) -> Trace:
         """Feed a 1-d outcome sequence through ``step`` and collect the trace.
 
-        The stored fields of each round's StepRecord are written into
+        Before a round that no block holds, ``run`` opens one for the
+        rounds ahead, so ``step`` reads its predictions and shares.  The
+        stored fields of each round's StepRecord are written into
         preallocated columns, so the trace holds the numbers ``step`` returns.
         """
         xs = np.asarray(xs, dtype=float)
@@ -377,8 +508,13 @@ class Mixture:
         if xs.size == 0:
             raise ValueError("empty outcome sequence")
         cols = [np.empty(xs.size, dtype=dt) for dt in _DTYPES]
-        for i in range(xs.size):  # not xs.tolist(), which holds a float object per round
-            rec = self.step(xs[i])
-            for col, j in zip(cols, _STORED):
-                col[i] = rec[j]
+        try:
+            for i in range(xs.size):  # not xs.tolist(), which holds a float object per round
+                if self._block is None:
+                    self._open(xs[i:])
+                rec = self.step(xs[i])
+                for col, j in zip(cols, _STORED):
+                    col[i] = rec[j]
+        finally:
+            self._settle()
         return Trace(self.scheme, self.loss.name, self.mode, *cols)

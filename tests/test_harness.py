@@ -362,12 +362,22 @@ class TestCli:
             ("run", '{"horizon": 8, "scheme": "sub", "sub_a": Infinity}', "sub_a must be a finite number, not inf"),
             ("run", '{"horizon": 8, "scheme": "sub", "sub_c": Infinity}', "sub_c must be a finite number, not inf"),
             ("run", '{"horizon": 8, "scheme": "sub", "sub_a": true}', "sub_a must be a finite number, not True"),
+            ("run", '{"horizon": 8, "loss": "square", "stream": "piecewise-gaussian-clipped", "sigma": true}',
+             "sigma must be a number, not True"),
+            ("run", '{"horizon": 8, "segments": [[4, true], [4, 0.8]]}', "segments param must be a number, not True"),
+            ("run", '{"horizon": "16"}', "horizon must be an integer, not '16'"),
+            ("run", '{"horizon": "abc"}', "horizon must be an integer, not 'abc'"),
+            ("run", '{"horizon": 8, "seed": "3"}', "seed must be an integer, not '3'"),
+            ("run", '{"horizon": 8, "segments": [["4", 0.2], [4, 0.8]]}', "segments length must be an integer, not '4'"),
+            ("run", '{"horizon": 8, "segments": {"count": 2, "params": ["0.3", 0.7]}}',
+             "segments param must be a number, not '0.3'"),
         ],
         ids=["invalid-json", "json-array", "sweep-not-a-dict", "sweep-value-not-a-list",
              "horizon-null", "segments-int", "sigma-string", "label-parent-dir", "label-absolute",
              "label-separator", "horizon-bool", "horizon-fraction", "seed-bool", "seed-fraction", "sigma-nan",
              "sigma-inf", "segment-length-fraction", "segment-length-bool", "segment-count-bool", "loss-list",
-             "base-list", "sub-a-string", "sub-a-inf", "sub-c-inf", "sub-a-bool"],
+             "base-list", "sub-a-string", "sub-a-inf", "sub-c-inf", "sub-a-bool", "sigma-bool", "segment-param-bool",
+             "horizon-string", "horizon-not-a-number", "seed-string", "segment-length-string", "segment-param-string"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "config.json"

@@ -439,6 +439,143 @@ class TestFailedStepChangesNothing:
         assert mix.work_total == ref.total_work
 
 
+def block_spans(mix, xs):
+    """Run ``mix`` on ``xs``; return the (first, last) rounds of each block the run opened."""
+    spans, opener = [], mix._open
+
+    def spy(rest):
+        opener(rest)
+        if mix._block is not None:
+            spans.append((mix.t, mix.t + len(mix._block.xs) - 1))
+
+    mix._open = spy
+    mix.run(xs)
+    return spans
+
+
+def engine_state(mix):
+    n = mix.created
+    return (mix.t, n, mix.work_total, mix.jt, mix._w[:n].tobytes(), mix._alive[:n].tobytes(),
+            mix._rows[:n].tobytes())
+
+
+_COLUMNS = (("outcomes", "outcome", np.float64), ("predictions", "prediction", np.float64),
+            ("step_losses", "step_loss", np.float64), ("live", "live", np.int64), ("drifts", "drift", np.float64),
+            ("map_ids", "map_id", np.int64))
+_CALENDAR_COLUMNS = (("ts", "t", np.int64), ("jt_periods", "jt_period", np.float64),
+                     ("created", "created", np.int64), ("work", "work", np.int64))
+
+
+class TestBlockedRun:
+    """``run`` reads block tables; a loop of bare ``step`` calls builds one-round blocks: the two agree bitwise."""
+
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    @pytest.mark.parametrize("loss_name", ALL_LOSSES)
+    @pytest.mark.parametrize("calendar", ["lin", "log", "sub", "dead", "tied"])
+    def test_run_equals_step_loop(self, calendar, loss_name, mode):
+        T_max = 300
+        xs = stream_for(loss_name, T_max + 1, seed=21)
+        loss, base = make_loss(loss_name), make_base(default_base_name(loss_name))
+
+        def fresh():
+            return Mixture(make_calendar(calendar, T_max), loss, base, mode=mode)
+
+        spans = block_spans(fresh(), xs[:T_max])
+        assert len(spans) >= 2
+        end = spans[-2][1]  # a block that ended on the cell budget or the compiled horizon, not on xs
+        for T, bare in ((1, 0), (end - 1, 0), (end, 0), (end + 1, 0), (end + 1, 20)):
+            ref = fresh()
+            recs = [ref.step(x) for x in xs[:T]]
+            mix = fresh()
+            for x in xs[:bare]:
+                mix.step(x)
+            trace = mix.run(xs[bare:T])
+            assert engine_state(mix) == engine_state(ref), (T, bare)
+            cols = _COLUMNS if bare else _COLUMNS + _CALENDAR_COLUMNS
+            for col, field, dtype in cols:
+                got = getattr(trace, col)
+                assert got.dtype == dtype
+                assert got.tobytes() == np.array([getattr(r, field) for r in recs[bare:]], dtype=dtype).tobytes()
+
+    def test_step_with_another_outcome_drops_the_block(self):
+        # a step fed another outcome than its block's reads no table: it runs as a bare step
+        T = 120
+        xs = stream_for("bernoulli", T, seed=22)
+        flip = xs.copy()
+        flip[50::7] = 1.0 - flip[50::7]
+        ref = build("sub", "bernoulli", horizon=T + 1)
+        recs = [ref.step(x) for x in flip]
+        mix = build("sub", "bernoulli", horizon=T + 1)
+        step = mix.step
+        mix.step = lambda x: step(flip[mix.t - 1])
+        trace = mix.run(xs)
+        assert engine_state(mix) == engine_state(ref)
+        assert trace.predictions.tobytes() == np.array([r.prediction for r in recs]).tobytes()
+
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    @pytest.mark.parametrize("fault", ["bad outcome", "nan outcome", "learner out of domain", "nan merge"])
+    def test_fault_inside_a_block_raises_as_the_step_loop(self, fault, mode):
+        T, k = 40, 25  # the fault hits round k, which a clean run reads from a block
+        loss, base = _NaNMergeAt(), _OutOfDomainMean()
+        if fault in ("bad outcome", "nan outcome"):
+            xs = stream_for("square", T, seed=23)
+            xs[k - 1] = 1.5 if fault == "bad outcome" else math.nan
+        else:  # only rows that saw round k-1's outcome predict nonzero, from round k on
+            xs = np.zeros(T)
+            xs[k - 2] = 0.5
+        base.armed = fault == "learner out of domain"
+        loss.armed = fault == "nan merge"
+
+        def fresh(loss=loss, base=base):
+            return Mixture(make_scheme("sub", horizon=T + 1), loss, base, mode=mode)
+
+        clean = np.where(np.isfinite(xs) & (np.abs(xs) <= 1.0), xs, 0.0)
+        assert any(a < k < b for a, b in block_spans(fresh(_NaNMergeAt(), _OutOfDomainMean()), clean))
+
+        ref = fresh()
+        for x in xs[: k - 1]:
+            ref.step(x)
+        with pytest.raises(ValueError) as want:
+            ref.step(xs[k - 1])
+        mix = fresh()
+        with pytest.raises(ValueError) as got:
+            mix.run(xs)
+        assert str(got.value) == str(want.value)
+        assert engine_state(mix) == engine_state(ref)
+        assert mix.t == k
+        assert sorted(mix.posterior().items()) == sorted(ref.posterior().items())
+
+
+def test_trace_stores_36_bytes_a_round_below_2_16_copies():
+    # live counts (up to 300 here) and MAP ids take at most 2 bytes each, and read as int64
+    T = 300
+    trace = build("lin", "bernoulli", horizon=T + 1).run(stream_for("bernoulli", T, seed=24))
+    stored = (trace.outcomes, trace.predictions, trace.step_losses, trace.drifts, trace._live, trace._map_ids)
+    assert trace._live.dtype == np.uint16
+    assert sum(a.nbytes for a in stored) <= 36 * T
+    assert trace.live.dtype == trace.map_ids.dtype == np.int64
+
+
+class _OutOfDomainMean(_SwitchableMean):
+    """Running mean that, while ``armed``, predicts outside [-1, 1] on rows whose outcome sum is nonzero."""
+
+    armed = False
+
+    def predict_rows(self, rows):
+        p = super().predict_rows(rows)
+        return np.where(rows[:, 0] != 0.0, p + 3.0, p) if self.armed else p
+
+
+class _NaNMergeAt(_NaNMergeLoss):
+    """Square loss whose substitution, while ``armed``, yields NaN on any nonzero prediction."""
+
+    armed = False
+
+    def merge(self, th, w):
+        self.broken = self.armed and bool(th.any())
+        return super().merge(th, w)
+
+
 class TestTrace:
     @pytest.mark.parametrize("mode", ["eager", "lazy"])
     def test_run_columns_equal_step_records(self, mode):
