@@ -20,7 +20,7 @@ mixture
     The aggregation engine: one row per created copy, one round path
     for both modes, one StepRecord per round and a Trace of columns.
 evaluation
-    Regret reports, switching bounds, brute-force path oracle.
+    Regret reports, switching bounds, tightest-path certificate.
 harness
     Config-driven experiment runner, CSV/JSON emission, CLI.
 """

@@ -5,10 +5,10 @@ prediction per segment.  ``oracle_comparators`` picks the hindsight
 optimum per segment, ``dynamic_regret`` differences the mixture's loss
 against it, and ``switch_bound``/``nts_bound`` give the closed-form
 caps on how many expert switches a calendar needs to shadow a given
-segmentation.  ``path_oracle`` brute-forces every admissible expert
-path on tiny horizons and checks the engine's loss against the best
-path's loss-plus-weight-cost certificate; it is deliberately
-independent of the engine's internals.
+segmentation.  ``path_oracle`` finds the admissible expert path of
+least loss-plus-weight-cost in one pass over the rounds, at any
+horizon, and checks the engine's loss against that certificate; it is
+deliberately independent of the engine's internals.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mixture import Mixture, select_jt
-from .schemes import SUB_PARAMS, ExpertSpec, runtime
-
-PATH_ORACLE_MAX_T = 8
+from .mixture import Mixture, select_jt, transition_weight
+from .schemes import SUB_PARAMS, runtime
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ def nts_bound(t: int, a: float = SUB_PARAMS[0], b: float = SUB_PARAMS[1], c: flo
 
 @dataclass
 class PathOracleReport:
-    """Exhaustive certificate check on a tiny horizon."""
+    """Tightest path certificate of one run."""
 
     horizon: int
     n_paths: int
@@ -182,7 +180,7 @@ class PathOracleReport:
 
 
 def path_oracle(scheme, loss, base, xs, tol: float = 1e-9) -> PathOracleReport:
-    """Check the engine against every admissible expert path.
+    """Check the engine against the tightest admissible expert path.
 
     An admissible path starts on a round-1 copy and at each round either
     stays on its copy (if that copy is not restarting) or moves to the
@@ -191,74 +189,74 @@ def path_oracle(scheme, loss, base, xs, tol: float = 1e-9) -> PathOracleReport:
         mixture loss <= path loss + (path weight cost) / mixability,
 
     where the weight cost is -log of the initial weight times the
-    product of transition shares along the path.  The report records the
-    tightest certificate and whether the engine satisfies it within
-    ``tol``.  Path predictions are recomputed from each restart with the
+    product of transition shares along the path.  Paths that meet on a
+    copy share every later round, so a pass over the rounds keeps, for
+    each reachable copy, the path into it of least partial bound and the
+    number of paths into it.  The report records the tightest
+    certificate and whether the engine satisfies it within ``tol``.
+    Path predictions are recomputed from each restart round with the
     learner's ``predictions``, independently of the engine's rows.
     """
     xs = np.asarray(xs, dtype=float)
     T = int(xs.size)
-    if not (1 <= T <= PATH_ORACLE_MAX_T):
-        raise ValueError(f"exhaustive path check supports 1 <= T <= {PATH_ORACLE_MAX_T}")
+    if T < 1:
+        raise ValueError("path check needs at least one round")
 
     mix_loss = float(np.sum(Mixture(scheme, loss, base, mode="eager").run(xs).step_losses))
     alpha = loss.mixability
-
-    theta_cache: dict = {}
-
-    def theta(spec: ExpertSpec, t: int) -> float:
-        key = (spec, t)
-        if key not in theta_cache:
-            # a copy at runtime u has seen the u - 1 outcomes before round t
-            u = runtime(t, spec)
-            theta_cache[key] = float(base.predictions(xs[t - u : t])[-1])
-        return theta_cache[key]
+    jts = [select_jt(scheme, t) for t in range(1, T + 1)]
+    # a path reaches a copy at runtime 1 only on round 1 or as J_t; losses[r][u - 1] is
+    # the loss at runtime u of the copy restarted on round r + 1, until it restarts again
+    spans = [xs[r : r + min(jt.period, T)] for r, jt in enumerate(jts)]
+    losses = [loss.evaluate_pairs(base.predictions(span), span) for span in spans]
 
     births = sorted(scheme.births_at(1))
-    init_cost = math.log(len(births))
-    jts = {t: select_jt(scheme, t) for t in range(2, T + 1)}
-
-    best = {"bound": math.inf}
-    n_paths = 0
-
-    def extend(t: int, spec: ExpertSpec, loss_acc: float, cost_acc: float, path: list):
-        nonlocal n_paths
-        loss_here = loss_acc + loss.evaluate(theta(spec, t), float(xs[t - 1]))
+    # per reachable copy: its tightest path's loss and weight cost, the number
+    # of paths into it, and that path as a back-link (copy, earlier link)
+    front = {spec: (0.0, math.log(len(births)), 1, None) for spec in births}
+    for t in range(1, T + 1):
+        for spec, (path_loss, cost, count, link) in front.items():
+            u = runtime(t, spec)
+            front[spec] = (path_loss + float(losses[t - u][u - 1]), cost, count, (spec, link))
         if t == T:
-            n_paths += 1
-            bound = loss_here + cost_acc / alpha
-            if bound < best["bound"]:
-                best.update(
-                    bound=bound,
-                    path=path + [spec],
-                    loss=loss_here,
-                    cost=cost_acc,
-                )
-            return
-        t1 = t + 1
-        u = runtime(t1, spec)  # source runtime at the destination round
-        jt = jts[t1]
-        extend(t1, jt, loss_here, cost_acc - math.log(1.0 / u), path + [spec])
-        if u != 1 and spec != jt:
-            extend(t1, spec, loss_here, cost_acc - math.log((u - 1.0) / u), path + [spec])
+            break
+        jt = jts[t]
+        ahead: dict = {}
+        for spec, (path_loss, cost, count, link) in front.items():
+            u = runtime(t + 1, spec)  # source runtime at the destination round
+            for dest in (jt,) if spec == jt else (jt, spec):
+                share = transition_weight(u, runtime(t + 1, dest), dest == spec, dest == jt)
+                if share == 0.0:
+                    continue
+                cost_here = cost - math.log(share)
+                kept = ahead.get(dest)
+                if kept is None:
+                    ahead[dest] = (path_loss, cost_here, count, link)
+                elif path_loss + cost_here / alpha < kept[0] + kept[1] / alpha:
+                    ahead[dest] = (path_loss, cost_here, count + kept[2], link)
+                else:
+                    ahead[dest] = (kept[0], kept[1], kept[2] + count, kept[3])
+        front = ahead
 
-    for spec in births:
-        extend(1, spec, 0.0, init_cost, [])
-
-    path = best["path"]
+    path_loss, cost, _, link = min(front.values(), key=lambda s: s[0] + s[1] / alpha)
+    bound = path_loss + cost / alpha
+    path = []
+    while link is not None:
+        spec, link = link
+        path.append(spec)
+    path.reverse()
     segments = 1 + sum(1 for a, b in zip(path, path[1:]) if a != b)
-    slack = float(best["bound"] - mix_loss)
     return PathOracleReport(
         horizon=T,
-        n_paths=n_paths,
+        n_paths=sum(count for _, _, count, _ in front.values()),
         mixture_loss=mix_loss,
-        best_bound=float(best["bound"]),
+        best_bound=bound,
         best_path=path,
-        best_path_loss=float(best["loss"]),
-        best_weight_cost=float(best["cost"]),
+        best_path_loss=path_loss,
+        best_weight_cost=cost,
         best_segments=segments,
-        satisfied=bool(mix_loss <= best["bound"] + tol),
-        slack=slack,
+        satisfied=bool(mix_loss <= bound + tol),
+        slack=bound - mix_loss,
     )
 
 

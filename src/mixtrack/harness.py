@@ -396,20 +396,20 @@ def verify(verbose: bool = True) -> int:
         if verbose:
             print(f"{line} [{'ok' if ok else 'FAIL'}] {1e3 * (time.perf_counter() - started):.1f} ms")
 
+    T = 256
     for tag in ("lin", "log", "sub"):
         for loss_name in ("bernoulli", "square"):
             started = time.perf_counter()
             loss = make_loss(loss_name)
             base = make_base(DEFAULT_BASE_FOR[loss_name])
-            scheme = make_scheme(tag, horizon=8)
+            scheme = make_scheme(tag, horizon=T + 1)
             if loss_name == "bernoulli":
-                xs = (rng.random(5) < 0.5).astype(float)
+                xs = (rng.random(T) < 0.5).astype(float)
             else:
-                xs = np.clip(rng.normal(0.0, 0.5, 5), -1, 1)
+                xs = np.clip(rng.normal(0.0, 0.5, T), -1, 1)
             rep = path_oracle(scheme, loss, base, xs)
-            report(f"path certificate  {tag:3s} {loss_name:9s} "
+            report(f"path certificate  {tag:3s} {loss_name:9s} T={T} "
                    f"mixture {rep.mixture_loss:.6f} <= best bound {rep.best_bound:.6f}", rep.satisfied, started)
-    T = 256
     for tag in ("lin", "log", "sub"):
         started = time.perf_counter()
         cfg = ExperimentConfig(scheme=tag, loss="bernoulli", horizon=T, seed=3, mode="both",

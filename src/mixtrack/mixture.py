@@ -159,16 +159,17 @@ def _jt_rows(period: np.ndarray, start: np.ndarray, horizon: int) -> np.ndarray:
 class Trace:
     """Run history: one column per StepRecord field.
 
-    It stores the columns the run produced and computes from ``scheme`` on
-    access the ones the calendar fixes, and the created copies' schedule.
+    It stores the columns the run produced and the round ``t0`` it began
+    on, and computes from ``scheme`` on access the ones the calendar
+    fixes, and the created copies' schedule.
     The live counts and MAP ids are stored in the narrowest unsigned dtype
     that holds them, at most 2 bytes each below 2^16 copies, and read as
     int64.
     """
 
     def __init__(self, scheme, loss_name: str, mode: str, outcomes: np.ndarray, predictions: np.ndarray,
-                 step_losses: np.ndarray, live: np.ndarray, drifts: np.ndarray, map_ids: np.ndarray):
-        self.scheme, self.loss_name, self.mode = scheme, loss_name, mode
+                 step_losses: np.ndarray, live: np.ndarray, drifts: np.ndarray, map_ids: np.ndarray, t0: int = 1):
+        self.scheme, self.loss_name, self.mode, self.t0 = scheme, loss_name, mode, t0
         self.outcomes, self.predictions, self.step_losses, self.drifts = outcomes, predictions, step_losses, drifts
         self._live, self._map_ids = _narrow(live), _narrow(map_ids)
 
@@ -186,12 +187,12 @@ class Trace:
 
     @property
     def schedule(self) -> tuple:
-        """(period, start) arrays of the copies created, by id: those born by round T + 1."""
-        return self.scheme.schedule(self.horizon + 1)
+        """(period, start) arrays of the copies created, by id: those born by the round after the last."""
+        return self.scheme.schedule(self.t0 + self.horizon)
 
     @property
     def ts(self) -> np.ndarray:
-        return np.arange(1, self.horizon + 1)
+        return np.arange(self.t0, self.t0 + self.horizon)
 
     @property
     def created(self) -> np.ndarray:
@@ -204,7 +205,7 @@ class Trace:
     @property
     def jt_periods(self) -> np.ndarray:
         period, start = self.schedule
-        p = period[_jt_rows(period, start, self.horizon)[1:]]
+        p = period[_jt_rows(period, start, self.t0 + self.horizon - 1)[self.t0 :]]
         return np.where(p == NEVER, math.inf, p)
 
     @property
@@ -517,4 +518,4 @@ class Mixture:
                     col[i] = rec[j]
         finally:
             self._settle()
-        return Trace(self.scheme, self.loss.name, self.mode, *cols)
+        return Trace(self.scheme, self.loss.name, self.mode, *cols, t0=self.t - xs.size)

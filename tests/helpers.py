@@ -1,18 +1,23 @@
-"""Shared test utilities, chiefly an independent dense reference engine.
+"""Shared test utilities, chiefly two independent references.
 
-The reference keeps weights in a plain dict, builds the full transition
-kernel from ``transition_weight`` every round, and steps each copy as
-its own one-row learner state from ``init_rows(1)``.  It shares no array
-bookkeeping with the production engine, so agreement between the two is
-meaningful.
+The dense reference engine keeps weights in a plain dict, builds the
+full transition kernel from ``transition_weight`` every round, and
+steps each copy as its own one-row learner state from ``init_rows(1)``.
+It shares no array bookkeeping with the production engine, so agreement
+between the two is meaningful.  The exhaustive path oracle walks every
+admissible expert path, the reference for ``path_oracle``'s pass over
+the rounds.
 """
 
 import math
 
 import numpy as np
 
-from mixtrack.mixture import select_jt, transition_weight
-from mixtrack.schemes import runtime
+from mixtrack.evaluation import PathOracleReport
+from mixtrack.mixture import Mixture, select_jt, transition_weight
+from mixtrack.schemes import ExpertSpec, runtime
+
+EXHAUSTIVE_MAX_T = 8
 
 
 def active_dispatch():
@@ -93,3 +98,87 @@ def dense_run(scheme, loss, base, xs, order="forward"):
         z = sum(new_w.values())
         w = {sp: v / z for sp, v in new_w.items()}
     return np.array(preds_out), np.array(loss_out)
+
+
+def exhaustive_path_oracle(scheme, loss, base, xs, tol: float = 1e-9) -> PathOracleReport:
+    """Check the engine against every admissible expert path, one by one.
+
+    The exhaustive reference for ``path_oracle``: it walks every path,
+    so its cost grows exponentially in T.
+
+    An admissible path starts on a round-1 copy and at each round either
+    stays on its copy (if that copy is not restarting) or moves to the
+    designated restarter.  Each path certifies the bound
+
+        mixture loss <= path loss + (path weight cost) / mixability,
+
+    where the weight cost is -log of the initial weight times the
+    product of transition shares along the path.  The report records the
+    tightest certificate and whether the engine satisfies it within
+    ``tol``.  Path predictions are recomputed from each restart with the
+    learner's ``predictions``, independently of the engine's rows.
+    """
+    xs = np.asarray(xs, dtype=float)
+    T = int(xs.size)
+    if not (1 <= T <= EXHAUSTIVE_MAX_T):
+        raise ValueError(f"exhaustive path check supports 1 <= T <= {EXHAUSTIVE_MAX_T}")
+
+    mix_loss = float(np.sum(Mixture(scheme, loss, base, mode="eager").run(xs).step_losses))
+    alpha = loss.mixability
+
+    theta_cache: dict = {}
+
+    def theta(spec: ExpertSpec, t: int) -> float:
+        key = (spec, t)
+        if key not in theta_cache:
+            # a copy at runtime u has seen the u - 1 outcomes before round t
+            u = runtime(t, spec)
+            theta_cache[key] = float(base.predictions(xs[t - u : t])[-1])
+        return theta_cache[key]
+
+    births = sorted(scheme.births_at(1))
+    init_cost = math.log(len(births))
+    jts = {t: select_jt(scheme, t) for t in range(2, T + 1)}
+
+    best = {"bound": math.inf}
+    n_paths = 0
+
+    def extend(t: int, spec: ExpertSpec, loss_acc: float, cost_acc: float, path: list):
+        nonlocal n_paths
+        loss_here = loss_acc + loss.evaluate(theta(spec, t), float(xs[t - 1]))
+        if t == T:
+            n_paths += 1
+            bound = loss_here + cost_acc / alpha
+            if bound < best["bound"]:
+                best.update(
+                    bound=bound,
+                    path=path + [spec],
+                    loss=loss_here,
+                    cost=cost_acc,
+                )
+            return
+        t1 = t + 1
+        u = runtime(t1, spec)  # source runtime at the destination round
+        jt = jts[t1]
+        extend(t1, jt, loss_here, cost_acc - math.log(1.0 / u), path + [spec])
+        if u != 1 and spec != jt:
+            extend(t1, spec, loss_here, cost_acc - math.log((u - 1.0) / u), path + [spec])
+
+    for spec in births:
+        extend(1, spec, 0.0, init_cost, [])
+
+    path = best["path"]
+    segments = 1 + sum(1 for a, b in zip(path, path[1:]) if a != b)
+    slack = float(best["bound"] - mix_loss)
+    return PathOracleReport(
+        horizon=T,
+        n_paths=n_paths,
+        mixture_loss=mix_loss,
+        best_bound=float(best["bound"]),
+        best_path=path,
+        best_path_loss=float(best["loss"]),
+        best_weight_cost=float(best["cost"]),
+        best_segments=segments,
+        satisfied=bool(mix_loss <= best["bound"] + tol),
+        slack=slack,
+    )

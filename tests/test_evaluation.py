@@ -1,12 +1,12 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
-from helpers import default_base_name
+from helpers import EXHAUSTIVE_MAX_T, default_base_name, exhaustive_path_oracle
 from mixtrack.base import make_base, restart_loss
 from mixtrack.evaluation import (
-    PATH_ORACLE_MAX_T,
     Segmentation,
     complexity_audit,
     dynamic_regret,
@@ -17,8 +17,8 @@ from mixtrack.evaluation import (
     switch_bound,
 )
 from mixtrack.losses import make_loss
-from mixtrack.mixture import Mixture, Trace
-from mixtrack.schemes import make_scheme
+from mixtrack.mixture import Mixture, Trace, select_jt, transition_weight
+from mixtrack.schemes import make_scheme, runtime
 
 NTS_AT_1E4 = 14.904636935798449
 
@@ -140,10 +140,27 @@ class TestNtsBound:
             assert sch.ladder.n_index(t) <= cap
 
 
+def path_terms(scheme, loss, base, xs, path):
+    """Loss and weight cost of one admissible path, summed in round order as the oracles sum them."""
+    births = sorted(scheme.births_at(1))
+    assert len(path) == len(xs) and path[0] in births
+    path_loss, cost = 0.0, math.log(len(births))
+    for t, spec in enumerate(path, start=1):
+        u = runtime(t, spec)
+        path_loss += loss.evaluate(float(base.predictions(xs[t - u : t])[-1]), float(xs[t - 1]))
+        if t < len(path):
+            dest = path[t]
+            share = transition_weight(runtime(t + 1, spec), runtime(t + 1, dest), dest == spec,
+                                      dest == select_jt(scheme, t + 1))
+            assert share > 0.0, (t, spec, dest)
+            cost -= math.log(share)
+    return path_loss, cost
+
+
 class TestPathOracle:
     @pytest.mark.parametrize("scheme_tag", ["lin", "log", "sub"])
     @pytest.mark.parametrize("loss_name", ["square", "bernoulli"])
-    @pytest.mark.parametrize("T", [1, 4, 6])
+    @pytest.mark.parametrize("T", [1, 4, 6, 64, 256])
     def test_certificate_holds(self, scheme_tag, loss_name, T):
         rng = np.random.default_rng(100 * T + len(scheme_tag))
         if loss_name == "bernoulli":
@@ -171,9 +188,31 @@ class TestPathOracle:
     def test_horizon_limits(self):
         scheme, loss, base = make_scheme("lin"), make_loss("square"), make_base("running-mean")
         with pytest.raises(ValueError):
-            path_oracle(scheme, loss, base, np.zeros(PATH_ORACLE_MAX_T + 1))
-        with pytest.raises(ValueError):
             path_oracle(scheme, loss, base, np.zeros(0))
+
+    @pytest.mark.parametrize("scheme_tag", ["lin", "log", "sub"])
+    @pytest.mark.parametrize("loss_name", ["square", "bernoulli"])
+    def test_matches_exhaustive_reference(self, scheme_tag, loss_name):
+        # the A3 instances, extended to the reference's largest horizon
+        loss = make_loss(loss_name)
+        base = make_base(default_base_name(loss_name))
+        for T in range(1, EXHAUSTIVE_MAX_T + 1):
+            for i in range(10):
+                rng = np.random.default_rng(zlib.crc32(repr((scheme_tag, loss_name, T, i)).encode()))
+                xs = (rng.random(T) < 0.5).astype(float) if loss_name == "bernoulli" else rng.uniform(-1, 1, T)
+                scheme = make_scheme(scheme_tag, horizon=8)
+                got, ref = path_oracle(scheme, loss, base, xs), exhaustive_path_oracle(scheme, loss, base, xs)
+                case = (T, i)
+                assert (got.horizon, got.n_paths, got.satisfied) == (ref.horizon, ref.n_paths, ref.satisfied), case
+                assert got.mixture_loss == ref.mixture_loss, case
+                assert abs(got.best_bound - ref.best_bound) <= 1e-15 * abs(ref.best_bound), case
+                # the kept path is admissible with the reported terms; where it is not the
+                # reference's path, the two bounds tie (on bernoulli `sub`, round-1 copies predict alike)
+                terms = (got.best_path_loss, got.best_weight_cost)
+                assert path_terms(scheme, loss, base, xs, got.best_path) == terms, case
+                if got.best_path == ref.best_path:
+                    assert terms + (got.best_segments,) == (
+                        ref.best_path_loss, ref.best_weight_cost, ref.best_segments), case
 
 
 class TestComplexityAudit:

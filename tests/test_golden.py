@@ -10,16 +10,23 @@ in CHANGES.md.
 
 Bernoulli runs compute no transcendental with numpy's SIMD loops, so
 their hashes hold under any CPU dispatch; square runs take ``np.exp``
-and hold only for the numpy build and dispatch targets they were pinned
-on, which a failure names.
+and hold only for a numpy build and dispatch targets they were pinned
+on, which a failure names.  Each fingerprint beside the first has its
+own square hashes, checked in a subprocess that disables the other
+targets.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helpers import cpu_fingerprint
+from helpers import active_dispatch, cpu_fingerprint
 from mixtrack.harness import ExperimentConfig, run_experiment
 
 STREAM = {
@@ -83,6 +90,40 @@ GOLDEN = {
     ),
 }
 
+# the square hashes without the AVX-512 targets, whose np.exp rounds differently
+_SQUARE_WITHOUT_AVX512 = {
+    ("lin", "square", "eager"): (
+        "7e465fa9053be8f153594bcb0c898e66916b5ffd6ef9bbea3067eff3dd353453",
+        "eea7e919b92961225e914d4348ca2111851f5b0838e21de50d9fb2dc76314b4e",
+    ),
+    ("lin", "square", "lazy"): (
+        "7e465fa9053be8f153594bcb0c898e66916b5ffd6ef9bbea3067eff3dd353453",
+        "2566b314c4c8d1dfc2f4f3480a6edb1ca614025c6ae3c92a0b62798cb15bcdc2",
+    ),
+    ("log", "square", "eager"): (
+        "45dfea7e192896ba8d96755c6199bbb0145e82921c444b874fb7a7348450bddb",
+        "3155c9d6cde2f8a5903c4e593f1e6a5aff33cdae083b9ef9675e22d0f9fb28c3",
+    ),
+    ("log", "square", "lazy"): (
+        "45dfea7e192896ba8d96755c6199bbb0145e82921c444b874fb7a7348450bddb",
+        "45e81936df1b1261cdcc1d75c979ca28dcb9ec05906305e42930543dbb9b374a",
+    ),
+    ("sub", "square", "eager"): (
+        "d66e29b034e410dbde54a4ad308abda0795ec0ac41d3f69cbc39483eeecb273e",
+        "d241ea4c0912fc48eb825aa3ba3eed47faab93fe4ae135428e83d288dfdf97e1",
+    ),
+    ("sub", "square", "lazy"): (
+        "d66e29b034e410dbde54a4ad308abda0795ec0ac41d3f69cbc39483eeecb273e",
+        "e0663f21bf68e3578f877cc2b1d6c557495ae035ef7f309fc4ccc46e840c700b",
+    ),
+}
+
+# square hashes by the fingerprint they were computed on, other than PINNED_ON
+SQUARE_BY_FINGERPRINT = {
+    "numpy 2.4.6, dispatch X86_V3": _SQUARE_WITHOUT_AVX512,
+    "numpy 2.4.6, dispatch (baseline only)": _SQUARE_WITHOUT_AVX512,
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -111,8 +152,54 @@ def golden_hashes(scheme, loss, mode, out_dir):
     return csv_sha, json_sha
 
 
+def golden_for(fingerprint):
+    """The hashes a run on ``fingerprint`` must produce: PINNED_ON's, unless it has its own square hashes."""
+    return {**GOLDEN, **SQUARE_BY_FINGERPRINT.get(fingerprint, {})}
+
+
+def _pinned_message(fingerprint):
+    return f"square hashes pinned on {'; '.join([PINNED_ON, *SQUARE_BY_FINGERPRINT])}; this run: {fingerprint}"
+
+
 @pytest.mark.parametrize("scheme, loss, mode", sorted(GOLDEN))
 def test_outputs_match_golden_hashes(scheme, loss, mode, tmp_path):
-    assert golden_hashes(scheme, loss, mode, tmp_path) == GOLDEN[scheme, loss, mode], (
-        f"hashes pinned on {PINNED_ON}; this run: {cpu_fingerprint()}"
+    fingerprint = cpu_fingerprint()
+    assert golden_hashes(scheme, loss, mode, tmp_path) == golden_for(fingerprint)[scheme, loss, mode], (
+        _pinned_message(fingerprint)
     )
+
+
+# Prints the dispatch fingerprint, then the square cases' hashes as JSON
+_SQUARE_PROBE = """
+import json, tempfile
+from helpers import cpu_fingerprint
+from test_golden import GOLDEN, golden_hashes
+print(cpu_fingerprint())
+out = {}
+for key in sorted(k for k in GOLDEN if k[1] == "square"):
+    with tempfile.TemporaryDirectory() as tmp:
+        out[" ".join(key)] = golden_hashes(*key, tmp)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("kept", [["X86_V3"], []], ids=["X86_V3", "baseline-only"])
+def test_square_hashes_on_a_narrower_dispatch(kept):
+    active = active_dispatch()
+    if not set(kept) <= set(active):
+        pytest.skip(f"dispatch target {kept} is not active on this CPU")
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    # targets this process runs with disabled stay disabled
+    disabled = set(env.pop("NPY_DISABLE_CPU_FEATURES", "").split()) | set(active) - set(kept)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(sorted(disabled))
+    proc = subprocess.run([sys.executable, "-c", _SQUARE_PROBE], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    fingerprint, hashes = proc.stdout.splitlines()
+    assert fingerprint == f"numpy {np.__version__}, dispatch {' '.join(kept) or '(baseline only)'}"
+    golden = golden_for(fingerprint)
+    for key, pair in json.loads(hashes).items():
+        assert tuple(pair) == golden[tuple(key.split())], (key, _pinned_message(fingerprint))

@@ -395,6 +395,9 @@ class TestCli:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
+        certs = [line for line in out.splitlines() if line.startswith("path certificate")]
+        assert len(certs) == 6
+        assert all(" T=256 " in line and "[ok]" in line for line in certs)
 
     def test_sub_at_horizon_one_exits_0(self, tmp_path, capsys):
         assert main(["run", "--scheme", "sub", "--horizon", "1", "--out", str(tmp_path)]) == 0

@@ -491,11 +491,11 @@ class TestBlockedRun:
                 mix.step(x)
             trace = mix.run(xs[bare:T])
             assert engine_state(mix) == engine_state(ref), (T, bare)
-            cols = _COLUMNS if bare else _COLUMNS + _CALENDAR_COLUMNS
-            for col, field, dtype in cols:
+            for col, field, dtype in _COLUMNS + _CALENDAR_COLUMNS:
                 got = getattr(trace, col)
                 assert got.dtype == dtype
                 assert got.tobytes() == np.array([getattr(r, field) for r in recs[bare:]], dtype=dtype).tobytes()
+            assert trace.map_specs() == ref._specs_of([r.map_id for r in recs[bare:]])
 
     def test_step_with_another_outcome_drops_the_block(self):
         # a step fed another outcome than its block's reads no table: it runs as a bare step
