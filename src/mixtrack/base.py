@@ -6,13 +6,13 @@ add-half estimator for binary outcomes under log loss, and the running
 mean (follow-the-leader) for bounded outcomes under square loss.
 
 A learner is used only in its row form: many independent copies are
-rows of one array, updated in lockstep.  The contract is ``state_width``
-plus four methods: ``init_rows(n)`` returns n fresh rows,
-``predict_rows(rows)`` each row's prediction, ``update_rows(rows, x)``
-feeds outcome ``x`` to every row in place, and ``predictions(xs)`` is
-the non-anticipating prediction sequence of one fresh copy over a whole
-outcome array.  Learners do not validate outcomes; the loss and the
-mixture engine do.
+rows of one array, updated in lockstep.  The contract is four methods:
+``init_rows(n)`` returns n fresh rows, as wide as the learner's
+statistics; ``predict_rows(rows)`` each row's prediction;
+``update_rows(rows, x)`` feeds outcome ``x`` to every row in place; and
+``predictions(xs)`` is the non-anticipating prediction sequence of one
+fresh copy over a whole outcome array.  Learners do not validate
+outcomes; the loss and the mixture engine do.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .losses import BERNOULLI_MARGIN
 # per-class patching such as perfbench/tracer.py finds it.  Each learner
 # writes its formula once, in ``predict_rows``.
 
-_STATE_WIDTH = 2
-
 
 def _init_rows(self, n: int) -> np.ndarray:
-    return np.zeros((n, _STATE_WIDTH))
+    return np.zeros((n, 2))
 
 
 def _update_rows(self, rows: np.ndarray, x: float) -> None:
@@ -75,7 +73,6 @@ class KTEstimator:
         p = (rows[:, 0] + 0.5) / (rows[:, 1] + 1.0)
         return np.clip(p, self.pred_low, self.pred_high)
 
-    state_width = _STATE_WIDTH
     init_rows = _init_rows
     update_rows = _update_rows
     predictions = _prediction_sequence
@@ -94,7 +91,6 @@ class RunningMean:
         cnt = np.maximum(rows[:, 1], 1.0)
         return np.clip(rows[:, 0] / cnt, self.pred_low, self.pred_high)
 
-    state_width = _STATE_WIDTH
     init_rows = _init_rows
     update_rows = _update_rows
     predictions = _prediction_sequence
@@ -140,9 +136,9 @@ def register_base(name: str, factory: Callable) -> None:
     """Register a base-learner factory for lookup by name.
 
     The learner must expose ``loss_family`` and the row contract in the
-    module docstring: the mixture engine calls ``state_width`` and the
-    three row methods, the path oracle and the regret reports call
-    ``predictions``.
+    module docstring: the mixture engine calls the three row methods and
+    reads the row width off ``init_rows(1)``; the path oracle and the
+    regret reports call ``predictions``.
     """
     if name in _BASES:
         raise ValueError(f"base learner {name!r} already registered")

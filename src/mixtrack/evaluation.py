@@ -44,15 +44,6 @@ class Segmentation:
     def segment_count(self) -> int:
         return len(self.lengths)
 
-    @property
-    def starts(self) -> tuple:
-        """1-based first round of each segment."""
-        out, pos = [], 1
-        for n in self.lengths:
-            out.append(pos)
-            pos += int(n)
-        return tuple(out)
-
 
 def oracle_comparators(loss, xs, lengths) -> Segmentation:
     """Hindsight-optimal constant prediction for each segment."""
@@ -268,15 +259,10 @@ class ComplexityAudit:
     count_cap: float
     created_within_cap: bool
     total_work: int
-    work_within_pool: bool
 
 
 def complexity_audit(trace, scheme) -> ComplexityAudit:
-    """Check created-copy counts against the closed-form cap.
-
-    Also verifies that no round touched more rows than the calendar had
-    created by that round.
-    """
+    """Check created-copy counts against the closed-form cap."""
     T = trace.horizon
     created = int(trace.created[-1])
     cap = float(scheme.count_bound(T))
@@ -285,5 +271,4 @@ def complexity_audit(trace, scheme) -> ComplexityAudit:
         count_cap=cap,
         created_within_cap=created <= cap,
         total_work=trace.total_work,
-        work_within_pool=bool(np.all(trace.work <= trace.created)),
     )

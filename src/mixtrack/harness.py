@@ -480,10 +480,9 @@ def main(argv=None) -> int:
     sub.add_parser("verify", help="run built-in self-checks")
 
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return verify()
-
     try:
+        if args.command == "verify":
+            return verify()
         raw = _load_config(args.config)
         grid = raw.pop("sweep", None)
         config = ExperimentConfig.from_dict(_apply_overrides(raw, args))
@@ -504,6 +503,9 @@ def main(argv=None) -> int:
         ok = sum(1 for r in rows if r["status"] == "ok")
         print(f"sweep: {ok}/{len(rows)} rows ok" + (f", wrote {config.out_dir}/sweep.csv" if config.out_dir else ""))
         return 0
+    except BrokenPipeError:  # a reader closed stdout early; devnull keeps the interpreter's final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

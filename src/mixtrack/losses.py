@@ -148,15 +148,10 @@ class SquareLoss:
         hi = float((w * self.factor(th, 1.0)).sum())
         lo = float((w * self.factor(th, -1.0)).sum())
         val = 0.5 * (math.log(hi) - math.log(lo))
-        if val > self.pred_high:
-            if val - self.pred_high > DOMAIN_SLOP:
-                raise ValueError(f"substitution overshoot {val!r} exceeds tolerance")
-            val = self.pred_high
-        elif val < self.pred_low:
-            if self.pred_low - val > DOMAIN_SLOP:
-                raise ValueError(f"substitution overshoot {val!r} exceeds tolerance")
-            val = self.pred_low
-        return val
+        clamped = min(max(val, self.pred_low), self.pred_high)  # a NaN val passes through both
+        if abs(val - clamped) > DOMAIN_SLOP:
+            raise ValueError(f"substitution overshoot {val!r} exceeds tolerance")
+        return clamped
 
     substitute = _substitute
 

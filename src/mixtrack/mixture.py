@@ -43,8 +43,11 @@ message.  A block checks its outcomes and predictions once, and ends
 before the first round that fails; that round raises as a bare step.
 The round then calls the loss's unchecked kernels (``merge``,
 ``pointwise``, ``factor``), so a step that raises leaves the mixture as
-it was.  ``step`` returns the round as a ``StepRecord`` whose fields
-follow the ``Trace`` columns; ``run`` calls ``step`` once per outcome.
+it was; the one exception is a round whose factors leave no mass,
+which raises ``weight pool degenerated`` after writing the weights,
+alive flags and rows.  ``step`` returns the round as a ``StepRecord``
+whose fields follow the ``Trace`` columns; ``run`` calls ``step`` once
+per outcome.
 
 Both modes run one round path: every created row, dead or live, is
 predicted and updated; the weight arithmetic gathers the live rows, as
@@ -61,7 +64,7 @@ import numpy as np
 
 from .schemes import NEVER, ExpertSpec, runtime, specs
 
-COLUMNAR_METHODS = ("state_width", "init_rows", "predict_rows", "update_rows")
+COLUMNAR_METHODS = ("init_rows", "predict_rows", "update_rows")
 LOSS_KERNELS = ("merge", "pointwise", "factor")
 
 
@@ -167,9 +170,9 @@ class Trace:
     int64.
     """
 
-    def __init__(self, scheme, loss_name: str, mode: str, outcomes: np.ndarray, predictions: np.ndarray,
-                 step_losses: np.ndarray, live: np.ndarray, drifts: np.ndarray, map_ids: np.ndarray, t0: int = 1):
-        self.scheme, self.loss_name, self.mode, self.t0 = scheme, loss_name, mode, t0
+    def __init__(self, scheme, mode: str, outcomes: np.ndarray, predictions: np.ndarray, step_losses: np.ndarray,
+                 live: np.ndarray, drifts: np.ndarray, map_ids: np.ndarray, t0: int = 1):
+        self.scheme, self.mode, self.t0 = scheme, mode, t0
         self.outcomes, self.predictions, self.step_losses, self.drifts = outcomes, predictions, step_losses, drifts
         self._live, self._map_ids = _narrow(live), _narrow(map_ids)
 
@@ -216,11 +219,6 @@ class Trace:
     def total_work(self) -> int:
         return int(np.sum(self.work))
 
-    @property
-    def id_to_spec(self) -> dict:
-        """Every created copy's ExpertSpec by id."""
-        return dict(enumerate(specs(*self.schedule)))
-
     def map_specs(self) -> list:
         """Highest-weight copy at each round."""
         period, start = self.schedule
@@ -251,9 +249,9 @@ class Mixture:
         then only the kernels.  A loss without the kernels is rejected.
     base : base learner
         Must declare ``loss_family`` matching ``loss.name`` and expose the
-        columnar interface (``state_width``, ``init_rows``,
-        ``predict_rows``, ``update_rows``): the copies' statistics are
-        rows of one array.
+        columnar interface (``init_rows``, ``predict_rows``,
+        ``update_rows``): the copies' statistics are rows of one array, as
+        wide as ``init_rows(1)``.
     mode : {"eager", "lazy"}
         Which rows a round counts as its ``work`` and ``live_table``
         lists: every created row, or the live ones; the rounds are equal.
@@ -277,14 +275,12 @@ class Mixture:
         self.mode = mode
 
         # one row per schedule row born so far: row index = copy id
+        self._fresh = base.init_rows(1)
         self._w = np.empty(0)
         self._alive = np.empty(0, dtype=bool)
-        self._rows = np.empty((0, base.state_width))
+        self._rows = np.empty((0, self._fresh.shape[1]))
         self.created = 0
         self.t = 1
-        self.work_total = 0
-
-        self._fresh = base.init_rows(1)
         self._block, self._j = None, 0
 
         self._compile(1)
@@ -404,7 +400,6 @@ class Mixture:
         if blk is None:
             self.base.update_rows(rows, x)
         work = wl.size if self.mode == "lazy" else n
-        self.work_total += work
 
         # advance: rows born at t+1 open dead; stayers keep (u-1)/u, J_{t+1} takes
         # the 1/u shares, and a restarting copy (u=1) dies unless it is J
@@ -518,4 +513,4 @@ class Mixture:
                     col[i] = rec[j]
         finally:
             self._settle()
-        return Trace(self.scheme, self.loss.name, self.mode, *cols, t0=self.t - xs.size)
+        return Trace(self.scheme, self.mode, *cols, t0=self.t - xs.size)

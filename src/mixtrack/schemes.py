@@ -62,20 +62,6 @@ def runtime(t: int, spec: ExpertSpec) -> int:
     return (t - spec.start) % int(spec.period) + 1
 
 
-def next_reset(t: int, spec: ExpertSpec) -> float:
-    """First round strictly after ``t`` at which the copy restarts.
-
-    Birth counts as a restart, so for an unborn copy this is its start
-    round.  Never-restarting copies return inf once born.
-    """
-    if t < spec.start:
-        return spec.start
-    if spec.period is INF or math.isinf(spec.period):
-        return INF
-    p = int(spec.period)
-    return t - runtime(t, spec) + p + 1
-
-
 def specs(period: np.ndarray, start: np.ndarray) -> list[ExpertSpec]:
     """Schedule rows as ExpertSpecs of Python numbers; NEVER reads as inf."""
     return [ExpertSpec(INF if p == NEVER else p, s) for p, s in zip(period.tolist(), start.tolist())]
@@ -102,6 +88,11 @@ def _experts_through(self, T: int) -> list[ExpertSpec]:
     return specs(*self.schedule(T))
 
 
+def _exact_count_bound(self, T: int) -> float:
+    """Cap on the pool size: the exact count, where it has a closed form."""
+    return float(self.expert_count(T))
+
+
 class LinScheme:
     """A fresh never-restarting copy every round."""
 
@@ -120,8 +111,7 @@ class LinScheme:
             raise ValueError("horizon must be >= 1")
         return T
 
-    def count_bound(self, T: int) -> float:
-        return float(self.expert_count(T))
+    count_bound = _exact_count_bound
 
 
 class LogScheme:
@@ -142,8 +132,7 @@ class LogScheme:
             raise ValueError("horizon must be >= 1")
         return T.bit_length()  # floor(log2 T) + 1
 
-    def count_bound(self, T: int) -> float:
-        return float(self.expert_count(T))
+    count_bound = _exact_count_bound
 
 
 @dataclass

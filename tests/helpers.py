@@ -6,7 +6,8 @@ steps each copy as its own one-row learner state from ``init_rows(1)``.
 It shares no array bookkeeping with the production engine, so agreement
 between the two is meaningful.  The exhaustive path oracle walks every
 admissible expert path, the reference for ``path_oracle``'s pass over
-the rounds.
+the rounds.  ``next_reset`` is the runtime-arithmetic reference for a
+calendar's restart rounds.
 """
 
 import math
@@ -37,6 +38,20 @@ def cpu_fingerprint():
 
 def default_base_name(loss_name):
     return {"bernoulli": "kt", "square": "running-mean"}[loss_name]
+
+
+def next_reset(t: int, spec: ExpertSpec) -> float:
+    """First round strictly after ``t`` at which the copy restarts.
+
+    Birth counts as a restart, so for an unborn copy this is its start
+    round.  Never-restarting copies return inf once born.  A reference
+    for the calendars' ``resetting_at``, by runtime arithmetic.
+    """
+    if t < spec.start:
+        return spec.start
+    if math.isinf(spec.period):
+        return math.inf
+    return t - runtime(t, spec) + int(spec.period) + 1
 
 
 class ConstantBase:

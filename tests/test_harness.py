@@ -371,13 +371,23 @@ class TestCli:
             ("run", '{"horizon": 8, "segments": [["4", 0.2], [4, 0.8]]}', "segments length must be an integer, not '4'"),
             ("run", '{"horizon": 8, "segments": {"count": 2, "params": ["0.3", 0.7]}}',
              "segments param must be a number, not '0.3'"),
+            ("run", '{"horizon": 8, "segments": {"count": 9}}', "segment count must be in [1, horizon]"),
+            ("run", '{"horizon": 8, "segments": {"count": 2, "params": []}}',
+             "pattern segments need at least one param"),
+            ("run", '{"horizon": 8, "segments": [[0, 0.2], [8, 0.8]]}', "segment lengths must be positive"),
+            ("run", '{"horizon": 8, "loss": "square", "stream": "piecewise-gaussian-clipped", '
+             '"segments": [[8, 1.5]]}', "gaussian means must lie in [-1, 1]"),
+            ("run", '{"horizon": 4, "loss": "square", "stream": "adversarial-alternating", '
+             '"segments": [[4, 1.5]]}', "alternating amplitude must lie in [-1, 1]"),
         ],
         ids=["invalid-json", "json-array", "sweep-not-a-dict", "sweep-value-not-a-list",
              "horizon-null", "segments-int", "sigma-string", "label-parent-dir", "label-absolute",
              "label-separator", "horizon-bool", "horizon-fraction", "seed-bool", "seed-fraction", "sigma-nan",
              "sigma-inf", "segment-length-fraction", "segment-length-bool", "segment-count-bool", "loss-list",
              "base-list", "sub-a-string", "sub-a-inf", "sub-c-inf", "sub-a-bool", "sigma-bool", "segment-param-bool",
-             "horizon-string", "horizon-not-a-number", "seed-string", "segment-length-string", "segment-param-string"],
+             "horizon-string", "horizon-not-a-number", "seed-string", "segment-length-string", "segment-param-string",
+             "segment-count-past-horizon", "segment-params-empty", "segment-length-zero", "gaussian-mean-out-of-range",
+             "alternating-amplitude-out-of-range"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "config.json"
@@ -427,11 +437,27 @@ class TestCli:
         assert main(argv) == 0
         assert "run sub_bernoulli_T64" in capsys.readouterr().out
 
-    def test_package_runs_as_module(self):
+    @staticmethod
+    def module_env():
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def test_package_runs_as_module(self):
         proc = subprocess.run([sys.executable, "-m", "mixtrack", "verify"], capture_output=True, text=True,
-                              env=env, timeout=120)
+                              env=self.module_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "all checks passed" in proc.stdout
         assert "Warning" not in proc.stderr
+
+    def test_verify_into_a_closed_pipe_is_quiet(self):
+        # as `mixtrack verify | head -1`: the reader closes after one line, unbuffered
+        # output meets the closed pipe on the next check's line
+        proc = subprocess.Popen([sys.executable, "-u", "-m", "mixtrack", "verify"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=self.module_env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first.startswith("path certificate")
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err

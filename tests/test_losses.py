@@ -17,6 +17,21 @@ SUBSTITUTE_HALF_HALF = 0.386331853098677135686757273012
 SLACK_ENDPOINTS_AT_ONE = 0.038863018094327077656799787505
 
 
+class _NudgedSquare(SquareLoss):
+    """Square loss whose weight factor at outcome ``side`` is scaled by 1 + eps.
+
+    The merge of a point mass on ``side`` then lands about eps/2 past the
+    domain's endpoint, which drives ``merge``'s clamp.
+    """
+
+    def __init__(self, side: float, eps: float):
+        self.side, self.eps = side, eps
+
+    def factor(self, theta, x):
+        f = super().factor(theta, x)
+        return f * (1.0 + self.eps) if x == self.side else f
+
+
 class TestSquareLoss:
     def setup_method(self):
         self.loss = SquareLoss()
@@ -50,6 +65,15 @@ class TestSquareLoss:
     def test_substitute_single_point_is_identity(self):
         for th in (-1.0, -0.3, 0.0, 0.9, 1.0):
             np.testing.assert_allclose(self.loss.substitute([th], [1.0]), th, atol=1e-14)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_merge_clamps_within_slop_and_refuses_beyond(self, side):
+        mass = (np.array([side]), np.array([1.0]))
+        # an overshoot of about 5e-11, inside DOMAIN_SLOP: the endpoint exactly
+        got = _NudgedSquare(side, 1e-10).merge(*mass)
+        assert got == side and type(got) is float
+        with pytest.raises(ValueError, match="substitution overshoot"):
+            _NudgedSquare(side, 1e-6).merge(*mass)  # about 5e-7 past it
 
     def test_substitute_endpoint_mass_stays_in_domain(self):
         assert self.loss.substitute([1.0, 1.0], [0.5, 0.5]) <= 1.0
@@ -129,6 +153,10 @@ class TestBernoulliLogLoss:
     def test_substitute_is_weighted_mean(self):
         assert self.loss.substitute([0.2, 0.6], [0.5, 0.5]) == pytest.approx(0.4, abs=1e-15)
 
+    def test_evaluate_pairs_rejects_a_non_binary_outcome(self):
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            self.loss.evaluate_pairs([0.5, 0.5], [1.0, 0.5])
+
     def test_mixable_with_equality(self):
         rng = np.random.default_rng(55)
         for _ in range(300):
@@ -184,6 +212,18 @@ class TestExpConcaveLoss:
         loss.evaluate(0.5, 0.3)
         with pytest.raises(ValueError):
             loss.evaluate(0.5, 2.0)
+
+    def test_evaluate_pairs_is_elementwise_evaluate(self):
+        loss = ExpConcaveLoss(
+            "gated", 1.0, lambda th, x: (th - x) ** 2, 0.0, 1.0,
+            outcome_check=lambda x: 0.0 <= x <= 1.0,
+        )
+        rng = np.random.default_rng(10)
+        th, xs = rng.random(7), rng.random(7)
+        got = loss.evaluate_pairs(th, xs)
+        assert got.tolist() == [loss.evaluate(t, x) for t, x in zip(th.tolist(), xs.tolist())]
+        with pytest.raises(ValueError, match="rejected by the loss family"):
+            loss.evaluate_pairs([0.5, 0.5], [0.3, 2.0])
 
 
 class TestWeightValidation:

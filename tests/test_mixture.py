@@ -24,6 +24,7 @@ from mixtrack.schemes import (
     _births_at,
     _resetting_at,
     make_scheme,
+    specs,
 )
 
 SUBSTITUTE_HALF_HALF = 0.386331853098677135686757273012
@@ -413,8 +414,8 @@ class _NaNMergeLoss(SquareLoss):
 class TestFailedStepChangesNothing:
     def snapshot(self, mix):
         n = mix.created
-        return (mix.t, n, mix.work_total, mix.jt, mix._w[:n].tobytes(), mix._alive[:n].tobytes(),
-                mix._rows[:n].tobytes(), sorted(mix.posterior().items()))
+        return (mix.t, n, mix.jt, mix._w[:n].tobytes(), mix._alive[:n].tobytes(), mix._rows[:n].tobytes(),
+                sorted(mix.posterior().items()))
 
     @pytest.mark.parametrize("mode", ["eager", "lazy"])
     @pytest.mark.parametrize("fault", ["bad outcome", "nan outcome", "learner out of domain", "nan merge"])
@@ -436,7 +437,7 @@ class TestFailedStepChangesNothing:
         ref = build("sub", "square", mode=mode, horizon=T + 1).run(xs)
         assert np.array_equal([r.prediction for r in recs], ref.predictions)
         assert np.array_equal([r.step_loss for r in recs], ref.step_losses)
-        assert mix.work_total == ref.total_work
+        assert sum(r.work for r in recs) == ref.total_work
 
 
 def block_spans(mix, xs):
@@ -455,8 +456,7 @@ def block_spans(mix, xs):
 
 def engine_state(mix):
     n = mix.created
-    return (mix.t, n, mix.work_total, mix.jt, mix._w[:n].tobytes(), mix._alive[:n].tobytes(),
-            mix._rows[:n].tobytes())
+    return mix.t, n, mix.jt, mix._w[:n].tobytes(), mix._alive[:n].tobytes(), mix._rows[:n].tobytes()
 
 
 _COLUMNS = (("outcomes", "outcome", np.float64), ("predictions", "prediction", np.float64),
@@ -606,7 +606,7 @@ class TestTrace:
             for col, field in (("ts", "t"), ("jt_periods", "jt_period"), ("created", "created"), ("work", "work")):
                 got = getattr(trace, col)
                 assert got.tobytes() == np.array([getattr(r, field) for r in recs], dtype=got.dtype).tobytes()
-            assert trace.id_to_spec == dict(enumerate(mix._specs_of(slice(0, mix.created))))
+            assert specs(*trace.schedule) == mix._specs_of(slice(0, mix.created))
 
     def test_columns_are_consistent(self):
         T = 64

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import next_reset
 from mixtrack.schemes import (
     INF,
     ExpertSpec,
@@ -11,7 +12,6 @@ from mixtrack.schemes import (
     PeriodSequence,
     SubScheme,
     make_scheme,
-    next_reset,
     runtime,
 )
 
