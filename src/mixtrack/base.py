@@ -40,6 +40,11 @@ def _update_rows(self, rows: np.ndarray, x: float) -> None:
     rows[:, 1] += 1.0
 
 
+def _clip(p: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``np.clip`` of a fresh float array in place, NaN included, without its Python wrapper."""
+    return np.minimum(np.maximum(p, low, out=p), high, out=p)
+
+
 def _prediction_sequence(self, xs) -> np.ndarray:
     """Non-anticipating prediction sequence for a whole outcome array.
 
@@ -71,7 +76,7 @@ class KTEstimator:
 
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
         p = (rows[:, 0] + 0.5) / (rows[:, 1] + 1.0)
-        return np.clip(p, self.pred_low, self.pred_high)
+        return _clip(p, self.pred_low, self.pred_high)
 
     init_rows = _init_rows
     update_rows = _update_rows
@@ -89,7 +94,7 @@ class RunningMean:
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
         # Fresh copies (count 0) predict 0; avoid the 0/0.
         cnt = np.maximum(rows[:, 1], 1.0)
-        return np.clip(rows[:, 0] / cnt, self.pred_low, self.pred_high)
+        return _clip(rows[:, 0] / cnt, self.pred_low, self.pred_high)
 
     init_rows = _init_rows
     update_rows = _update_rows

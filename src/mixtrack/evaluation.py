@@ -253,22 +253,13 @@ def path_oracle(scheme, loss, base, xs, tol: float = 1e-9) -> PathOracleReport:
 
 @dataclass
 class ComplexityAudit:
-    """Pool-size and work accounting for one trace."""
+    """Pool-size accounting for one trace; ``RegretReport`` carries the created count and the work."""
 
-    created: int
     count_cap: float
     created_within_cap: bool
-    total_work: int
 
 
 def complexity_audit(trace, scheme) -> ComplexityAudit:
     """Check created-copy counts against the closed-form cap."""
-    T = trace.horizon
-    created = int(trace.created[-1])
-    cap = float(scheme.count_bound(T))
-    return ComplexityAudit(
-        created=created,
-        count_cap=cap,
-        created_within_cap=created <= cap,
-        total_work=trace.total_work,
-    )
+    cap = float(scheme.count_bound(trace.horizon))
+    return ComplexityAudit(count_cap=cap, created_within_cap=int(trace.created[-1]) <= cap)

@@ -385,6 +385,11 @@ def sweep(config: ExperimentConfig, grid: dict, write_files: bool = True) -> lis
     return rows
 
 
+# the Trace columns a run stores, by the StepRecord field each holds
+_STEP_COLUMNS = (("predictions", "prediction"), ("step_losses", "step_loss"), ("live", "live"), ("drifts", "drift"),
+                 ("map_ids", "map_id"))
+
+
 def verify(verbose: bool = True) -> int:
     """Built-in cross-checks on small instances, each timed; returns a process exit code."""
     failures = 0
@@ -410,6 +415,15 @@ def verify(verbose: bool = True) -> int:
             rep = path_oracle(scheme, loss, base, xs)
             report(f"path certificate  {tag:3s} {loss_name:9s} T={T} "
                    f"mixture {rep.mixture_loss:.6f} <= best bound {rep.best_bound:.6f}", rep.satisfied, started)
+            # online use: a bare step per outcome, against run's trace of the same outcomes
+            started = time.perf_counter()
+            mix = Mixture(make_scheme(tag, horizon=T + 1), loss, base)
+            recs = [mix.step(x) for x in xs.tolist()]
+            trace = Mixture(make_scheme(tag, horizon=T + 1), loss, base).run(xs)
+            cols = [(getattr(trace, col), [getattr(r, f) for r in recs]) for col, f in _STEP_COLUMNS]
+            same = all(got.tobytes() == np.array(want, dtype=got.dtype).tobytes() for got, want in cols)
+            report(f"bare step = run   {tag:3s} {loss_name:9s} T={T} predictions, losses, live, drifts, MAP ids "
+                   f"bit for bit", same, started)
     for tag in ("lin", "log", "sub"):
         started = time.perf_counter()
         cfg = ExperimentConfig(scheme=tag, loss="bernoulli", horizon=T, seed=3, mode="both",

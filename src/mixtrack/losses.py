@@ -92,7 +92,7 @@ def _substitute(self, thetas, weights) -> float:
 def _mean_merge(self, th: np.ndarray, w: np.ndarray) -> float:
     """Unchecked substitution: the weighted mean."""
     # Convex combination of in-domain points cannot leave the domain.
-    return float((w * th).sum())
+    return float(np.add.reduce(w * th))  # as ndarray.sum, without its Python wrapper
 
 
 def _exp_factor(self, theta, x: float):
@@ -145,8 +145,8 @@ class SquareLoss:
 
     def merge(self, th: np.ndarray, w: np.ndarray) -> float:
         """Unchecked substitution of in-domain ``th`` under weights ``w`` summing to 1."""
-        hi = float((w * self.factor(th, 1.0)).sum())
-        lo = float((w * self.factor(th, -1.0)).sum())
+        hi = float(np.add.reduce(w * self.factor(th, 1.0)))  # as ndarray.sum, without its Python wrapper
+        lo = float(np.add.reduce(w * self.factor(th, -1.0)))
         val = 0.5 * (math.log(hi) - math.log(lo))
         clamped = min(max(val, self.pred_low), self.pred_high)  # a NaN val passes through both
         if abs(val - clamped) > DOMAIN_SLOP:

@@ -1,39 +1,48 @@
 """Aggregation engine over a pool of restarting base-learner copies.
 
-Weights live in the probability domain, normalized to sum 1, beside an
-alive flag per row.  Round t works in three phases.  Predict: the live
-copies' predictions are merged with the loss's substitution rule under
-their weights.  Ingest: each live weight is multiplied by the copy's
-factor exp(-alpha * loss) on the revealed outcome; under log loss that
-is the copy's own probability of it, so a bernoulli round takes no
-``exp`` or ``log`` over the rows.  Advance: a copy with runtime u at t+1 keeps (u-1)/u of its
-mass and cedes 1/u to the single designated restarter J_{t+1} (the
-restarting copy of largest period); a copy about to restart (u = 1)
-thus sends all of its mass there and, unless it is J_{t+1}, dies until
-it is next designated.  The weights are then divided by their sum, whose
-log the round reports as ``drift``.  A live weight may underflow to an
-exact 0 (about e^-745 below the leader): the live set is read off the
-alive flags, never off the weights.
+Weights live in the probability domain, normalized to sum 1.  Round t
+works in three phases.  Predict: the live copies' predictions are merged
+with the loss's substitution rule under their weights.  Ingest: each
+live weight is multiplied by the copy's factor exp(-alpha * loss) on the
+revealed outcome; under log loss that is the copy's own probability of
+it, so a bernoulli round takes no ``exp`` or ``log`` over the rows.
+Advance: a copy with runtime u at t+1 keeps (u-1)/u of its mass and
+cedes 1/u to the single designated restarter J_{t+1} (the restarting
+copy of largest period); a copy about to restart (u = 1) thus sends all
+of its mass there and, unless it is J_{t+1}, dies until it is next
+designated.  The weights are then divided by their sum, whose log the
+round reports as ``drift``.
+
+So the live set follows from the calendar alone: a copy is live at round
+t when it was J_s at the round s it last restarted or was born, or when
+s is round 1 (every copy born at round 1 starts live).  A live weight
+may underflow to an exact 0, so the live set is never read off the
+weights.
 
 Every copy the calendar creates gets one row, appended in creation
 order, so a row's index is the copy's id.  The engine compiles the
 calendar's ``schedule`` for a horizon that doubles whenever a round
 passes it, with J_t's row for every round; a round no copy restarts on
-is a calendar defect, raised when its horizon is compiled.  A round
-wipes only J_{t+1}'s row.
+is a calendar defect, raised when its horizon is compiled.  From that,
+for a block of rounds at a time (at most ``_BLOCK_CELLS`` rounds x rows,
+within the compiled horizon), it tabulates what each round reads off the
+calendar: its live rows, as a slice when every open row is live and as
+an index view otherwise, with their shares 1/u and (u-1)/u of runtime u
+at the destination round already gathered; the rows open after it; and
+J_{t+1}'s row.  A calendar whose copies never restart and are each
+designated at birth (``lin``) has every row live from birth on: it gets
+no tables, and its rounds divide their shares from the copies' ages.
 
-The schedule and the outcomes fix everything a round needs but the
-weights.  So ``run`` builds the tables of a block of rounds in a few
-array calls: the rows' statistics by the learner's own ``update_rows``,
-one call per round; their predictions by one ``predict_rows`` call; and
-the runtimes u at the destination round, with the shares 1/u and
-(u-1)/u and the stay mask u > 1.  A block holds at most ``_BLOCK_CELLS``
-rounds x rows and stays within the compiled horizon.  ``step`` reads its
-round's row and does only the weight arithmetic.  Any other round is a
-one-round block built from the rows, which ``step`` then updates in
-place: a bare ``step`` (online use), a round of a pool too large for
-two rounds per block (``lin`` past 2^11 copies), a round that compiles,
-and a round whose outcome or predictions fail their checks.
+The schedule and the outcomes fix everything else a round needs but the
+weights.  So ``run`` builds the statistics and predictions of a block of
+rounds in a few array calls: the rows' statistics by the learner's own
+``update_rows``, one call per round, and their predictions by one
+``predict_rows`` call.  Any other round (a bare ``step``, for online
+use, a round of a pool too large for two rounds per block, as ``lin``
+past 2^11 copies, a round that compiles, and a round whose outcome or
+predictions fail their checks) predicts from the rows and updates them
+in place.  Either way ``step`` reads its calendar tables and does only
+the weight arithmetic, and a round wipes only J_{t+1}'s row.
 
 A round checks its inputs before it changes any state: the outcome with
 ``validate_outcome``, and the copies' predictions and the merged
@@ -44,10 +53,9 @@ before the first round that fails; that round raises as a bare step.
 The round then calls the loss's unchecked kernels (``merge``,
 ``pointwise``, ``factor``), so a step that raises leaves the mixture as
 it was; the one exception is a round whose factors leave no mass,
-which raises ``weight pool degenerated`` after writing the weights,
-alive flags and rows.  ``step`` returns the round as a ``StepRecord``
-whose fields follow the ``Trace`` columns; ``run`` calls ``step`` once
-per outcome.
+which raises ``weight pool degenerated`` after writing the weights and
+rows.  ``step`` returns the round as a ``StepRecord`` whose fields
+follow the ``Trace`` columns; ``run`` calls ``step`` once per outcome.
 
 Both modes run one round path: every created row, dead or live, is
 predicted and updated; the weight arithmetic gathers the live rows, as
@@ -124,23 +132,27 @@ class _Block(NamedTuple):
     """The outcome-fixed tables of a run of rounds, one row per round.
 
     ``preds`` holds the predictions of every row the block opens, and
-    ``inv``, ``keep`` and ``stay`` the shares 1/u and (u-1)/u and u > 1 of
-    runtime u at the destination round; ``born`` and ``jt`` give the rows
-    open after each round and J_{t+1}'s row.  ``stats`` holds the rows'
-    statistics at the start of each round and after the last.
+    ``stats`` the rows' statistics at the start of each round and after
+    the last.
     """
 
     xs: list
     preds: np.ndarray
-    inv: np.ndarray
-    keep: np.ndarray
-    stay: np.ndarray
-    born: list
-    jt: list
     stats: np.ndarray
 
 
 _BLOCK_CELLS = 2**12  # rounds x rows that one block's tables hold
+
+
+def _live_rows(ts, period: np.ndarray, start: np.ndarray, jt_row: np.ndarray) -> np.ndarray:
+    """Live flags of the copies (``period``, ``start``) at rounds ``ts``; a column of rounds gives one row each.
+
+    A born copy is live when it is J_s at the round s it last restarted or
+    was born, or when s is round 1.
+    """
+    born = start <= ts
+    s = ts - (ts - start) % period  # the last round at runtime 1, for a born copy
+    return born & ((s == 1) | (jt_row[np.maximum(s, 0)] == np.arange(start.size)))
 
 
 def _narrow(col) -> np.ndarray:
@@ -277,18 +289,18 @@ class Mixture:
         # one row per schedule row born so far: row index = copy id
         self._fresh = base.init_rows(1)
         self._w = np.empty(0)
-        self._alive = np.empty(0, dtype=bool)
         self._rows = np.empty((0, self._fresh.shape[1]))
         self.created = 0
         self.t = 1
         self._block, self._j = None, 0
+        self._tab, self._tab_t0 = [], 1
 
         self._compile(1)
         born = int(self._start.searchsorted(1, "right"))
-        self._append(born, 1.0 / born, True)
+        self._append(born, 1.0 / born)
         self._jt = int(self._jt_row[1])
 
-    # -- schedule and row storage -----------------------------------------
+    # -- schedule, calendar tables and row storage -------------------------
 
     def _compile(self, horizon: int) -> None:
         """Compile the schedule through ``horizon``: J_t's row per round, and row storage."""
@@ -299,18 +311,58 @@ class Mixture:
             raise RuntimeError(f"calendar defect: no copy restarts at round {empty[0] + 1}")
         self._jt_row = jt_row
         self._period, self._start = period, start
-        self._finite_periods = bool((period != NEVER).any())
+        # the static live set: every row live from its birth on, which needs
+        # copies that never restart and are each J at their birth round
+        self._static = bool((period == NEVER).all() and _live_rows(start, period, start, jt_row).all())
         n, cap = self.created, self._period.size
-        w, alive, rows = np.empty(cap), np.empty(cap, dtype=bool), np.empty((cap, self._rows.shape[1]))
-        w[:n], alive[:n], rows[:n] = self._w[:n], self._alive[:n], self._rows[:n]
-        self._w, self._alive, self._rows = w, alive, rows
+        w, rows = np.empty(cap), np.empty((cap, self._rows.shape[1]))
+        w[:n], rows[:n] = self._w[:n], self._rows[:n]
+        self._w, self._rows = w, rows
         self._horizon = horizon
 
-    def _append(self, m: int, w: float, alive: bool) -> None:
+    def _span(self, t0: int, rounds: int) -> tuple:
+        """The rounds from ``t0`` that one block holds, at most ``rounds``, and the rows open after its last.
+
+        A block holds at most ``_BLOCK_CELLS`` rounds x rows and ends within
+        the compiled horizon; the count is 0 where no round fits.
+        """
+        start = self._start
+        size = min(rounds, self._horizon - t0, _BLOCK_CELLS // self.created)
+        m = int(start.searchsorted(t0 + size, "right"))
+        if size * m > _BLOCK_CELLS:
+            size = _BLOCK_CELLS // m
+            m = int(start.searchsorted(t0 + size, "right"))
+        return size, m
+
+    def _births(self, ts: np.ndarray) -> tuple:
+        """For each round of ``ts``: the rows open after it, and J_{t+1}'s row, as lists."""
+        return self._start.searchsorted(ts + 1, "right").tolist(), self._jt_row[ts + 1].tolist()
+
+    def _tabulate(self, t0: int) -> None:
+        """Tabulate the calendar for the rounds from ``t0`` that one block holds, at least one.
+
+        Round t's entry is its live rows, their shares 1/u and (u-1)/u of
+        runtime u at t+1, the rows open after it and J_{t+1}'s row.
+        """
+        size, m = self._span(t0, self._horizon - t0)
+        ts = np.arange(t0, t0 + max(size, 1))
+        period, start = self._period[:m], self._start[:m]
+        live = _live_rows(ts[:, None], period, start, self._jt_row)
+        u = ((ts[:, None] + 1 - start) % period + 1.0)[live]  # runtimes at the destination round, as floats
+        inv, keep = 1.0 / u, (u - 1.0) / u
+        cols = live.nonzero()[1]
+        ends = np.count_nonzero(live, axis=1).cumsum().tolist()
+        opened = start.searchsorted(ts, "right").tolist()
+        tab, a = [], 0
+        for b, n, born, jt in zip(ends, opened, *self._births(ts)):
+            tab.append((slice(0, n) if b - a == n else cols[a:b], inv[a:b], keep[a:b], born, jt))
+            a = b
+        self._tab, self._tab_t0 = tab, t0
+
+    def _append(self, m: int, w: float) -> None:
         """Open rows up to schedule row ``m``, base statistics fresh."""
         n = self.created
         self._w[n:m] = w
-        self._alive[n:m] = alive
         self._rows[n:m] = self.base.init_rows(m - n)
         self.created = m
 
@@ -324,12 +376,17 @@ class Mixture:
         """Designated restarter of the current round."""
         return self._specs_of([self._jt])[0]
 
+    def live_flags(self) -> np.ndarray:
+        """The created rows' live flags at the current round, read off the compiled calendar."""
+        n = self.created
+        return _live_rows(self.t, self._period[:n], self._start[:n], self._jt_row)
+
     def live_table(self):
         """Pool as (spec, id, log-weight, runtime) tuples: eager lists every created copy, lazy the live ones.
 
         A dead copy's log-weight is -inf, as is a live one's whose weight underflowed to 0.
         """
-        alive = self._alive[: self.created]
+        alive = self.live_flags()
         ids = np.arange(alive.size) if self.mode == "eager" else np.flatnonzero(alive)
         with np.errstate(divide="ignore"):
             logw = np.log(self._w[: alive.size], where=alive, out=np.full(alive.size, -math.inf))
@@ -339,7 +396,7 @@ class Mixture:
 
     def posterior(self) -> dict:
         """Normalized weights of the live copies at the current round."""
-        live = np.flatnonzero(self._alive[: self.created])
+        live = np.flatnonzero(self.live_flags())
         return dict(zip(self._specs_of(live), self._w[live].tolist()))
 
     # -- the round ---------------------------------------------------------
@@ -347,9 +404,10 @@ class Mixture:
     def step(self, x: float) -> StepRecord:
         """Predict on round t, ingest outcome ``x``, advance to round t+1.
 
-        The round reads its row of the open block if ``run`` built one with
-        this outcome; otherwise it is a one-round block: the rows'
-        statistics predict, are checked and take the outcome in place.
+        The round reads its live rows, shares, births and J_{t+1} off the
+        calendar tables, and its predictions off the open block if ``run``
+        built one with this outcome; otherwise the rows' statistics
+        predict, are checked and take the outcome in place.
         """
         t, n = self.t, self.created
         x = float(x)
@@ -362,30 +420,30 @@ class Mixture:
             loss.validate_outcome(x)
             if t + 1 > self._horizon:  # before any view of the rows is taken
                 self._compile(2 * self._horizon)
-        w = self._w[:n]
-        alive = self._alive[:n]
-        live = slice(0, n) if np.count_nonzero(alive) == n else alive.nonzero()[0]
-        if blk is None:
-            rows = self._rows[:n]
-            preds = self.base.predict_rows(rows)
-            if not ((preds >= loss.pred_low) & (preds <= loss.pred_high)).all():  # written so that NaN fails
-                loss.validate_prediction(preds)  # raises with the loss's message
-            th = preds[live]
-            # runtimes at the destination round, as floats, which divide faster
-            if self._finite_periods:
-                u = (t + 1 - self._start[live]) % self._period[live] + 1.0
-            else:  # age + 1
-                u = np.subtract(t + 2, self._start[live], dtype=float)
+        if self._static:  # every open row is live; runtimes at the destination round are age + 1
+            live = slice(0, n)
+            u = np.subtract(t + 2, self._start[:n], dtype=float)  # as floats, which divide faster
             inv, keep = 1.0 / u, (u - 1.0) / u
-            stay = u > 1.0 if self._finite_periods else None
             # rows born at t+1: most rounds open none and need no search
             start = self._start
             born = n if n == start.size or start[n] > t + 1 else int(start.searchsorted(t + 1, "right"))
             jt = int(self._jt_row[t + 1])
         else:
-            j = self._j
-            th, inv, keep, stay = blk.preds[j][live], blk.inv[j][live], blk.keep[j][live], blk.stay[j][live]
-            born, jt = blk.born[j], blk.jt[j]
+            j = t - self._tab_t0
+            if j >= len(self._tab):
+                self._tabulate(t)
+                j = 0
+            live, inv, keep, born, jt = self._tab[j]
+        w = self._w[:n]
+        if blk is None:
+            rows = self._rows[:n]
+            preds = self.base.predict_rows(rows)
+            # written so that NaN fails: a NaN prediction is the minimum and the maximum
+            if not (np.minimum.reduce(preds) >= loss.pred_low and np.maximum.reduce(preds) <= loss.pred_high):
+                loss.validate_prediction(preds)  # raises with the loss's message
+        else:
+            preds = blk.preds[self._j]
+        th = preds[live]
         wl = w[live]
         prediction = loss.merge(th, wl)
         if not (loss.pred_low <= prediction <= loss.pred_high):  # written so that NaN fails
@@ -401,19 +459,16 @@ class Mixture:
             self.base.update_rows(rows, x)
         work = wl.size if self.mode == "lazy" else n
 
-        # advance: rows born at t+1 open dead; stayers keep (u-1)/u, J_{t+1} takes
-        # the 1/u shares, and a restarting copy (u=1) dies unless it is J
+        # advance: rows born at t+1 open with no mass; stayers keep (u-1)/u,
+        # J_{t+1} takes the 1/u shares, and a restarting copy (u=1) keeps nothing
         if born > n:
-            self._append(born, 0.0, False)
-        inflow = float((wl * inv).sum())
+            self._append(born, 0.0)
+        inflow = float(np.add.reduce(wl * inv))
         wl *= keep
         w = self._w[:born]
         if not isinstance(live, slice):
             w[live] = wl
         w[jt] = inflow
-        if self._finite_periods:  # else no live row restarts
-            self._alive[live] = stay
-        self._alive[jt] = True
         if blk is None:
             self._rows[jt] = self._fresh
         else:
@@ -421,7 +476,7 @@ class Mixture:
             if self._j == len(blk.xs):
                 self._settle()
 
-        z = float(w.sum())
+        z = float(np.add.reduce(w))
         if not z > 0.0:  # written so that NaN fails
             raise RuntimeError("weight pool degenerated: no mass to route")
         w /= z
@@ -432,24 +487,17 @@ class Mixture:
     def _open(self, xs: np.ndarray) -> None:
         """Open a block for the next rounds, with outcomes ``xs``, if one holds at least two.
 
-        A block holds at most ``_BLOCK_CELLS`` rounds x rows, ends before the
-        first round past the compiled horizon, and ends before its first
+        A block holds the rounds ``_span`` gives, and ends before its first
         invalid outcome or prediction outside [pred_low, pred_high]: that
-        round is a one-round block, which raises.
+        round predicts from the rows, and raises.
         """
         t0, n0 = self.t, self.created
-        size = min(xs.size, self._horizon - t0, _BLOCK_CELLS // n0)
+        size, m = self._span(t0, xs.size)
         if size < 2:
             return
-        start, base, loss = self._start, self.base, self.loss
-        m = int(start.searchsorted(t0 + size, "right"))  # rows open after the last round
-        if size * m > _BLOCK_CELLS:
-            size = _BLOCK_CELLS // m
-            m = int(start.searchsorted(t0 + size, "right"))
+        base, loss = self.base, self.loss
         xl = xs[:size].tolist()
-        ts = np.arange(t0, t0 + size)
-        born = start.searchsorted(ts + 1, "right").tolist()
-        jt = self._jt_row[t0 + 1 : t0 + size + 1].tolist()
+        born, jt = self._births(np.arange(t0, t0 + size))
 
         # the rows' statistics at the start of each round, and after the last;
         # a row not open yet stays fresh, so it predicts as it will when born
@@ -476,10 +524,7 @@ class Mixture:
             size = int(ok.argmin())
         if size < 2:
             return
-
-        # runtimes at the destination round; a row not open yet gets one it never reads
-        u = (ts[:size, None] + 1 - start[:m]) % self._period[:m] + 1.0
-        self._block = _Block(xl[:size], preds, 1.0 / u, (u - 1.0) / u, u > 1.0, born, jt, stats)
+        self._block = _Block(xl[:size], preds, stats)
         self._j = 0
 
     def _settle(self) -> None:
@@ -506,7 +551,7 @@ class Mixture:
         cols = [np.empty(xs.size, dtype=dt) for dt in _DTYPES]
         try:
             for i in range(xs.size):  # not xs.tolist(), which holds a float object per round
-                if self._block is None:
+                if self._block is None and 2 * self.created <= _BLOCK_CELLS:  # else no two rounds fit a block
                     self._open(xs[i:])
                 rec = self.step(xs[i])
                 for col, j in zip(cols, _STORED):

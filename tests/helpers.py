@@ -7,7 +7,8 @@ It shares no array bookkeeping with the production engine, so agreement
 between the two is meaningful.  The exhaustive path oracle walks every
 admissible expert path, the reference for ``path_oracle``'s pass over
 the rounds.  ``next_reset`` is the runtime-arithmetic reference for a
-calendar's restart rounds.
+calendar's restart rounds, and ``live_walk`` the flag-by-flag reference
+for the live copies the engine reads off its compiled calendar.
 """
 
 import math
@@ -52,6 +53,23 @@ def next_reset(t: int, spec: ExpertSpec) -> float:
     if math.isinf(spec.period):
         return math.inf
     return t - runtime(t, spec) + int(spec.period) + 1
+
+
+def live_walk(scheme, T: int) -> list:
+    """The set of live copies at each round 1..T, walked one flag per copy from the definition.
+
+    Every copy born at round 1 starts live.  At each later round, a copy
+    at runtime 1 there (born or restarting) is live exactly when it is
+    ``select_jt``; every other copy keeps its flag.
+    """
+    flags = {spec: True for spec in scheme.births_at(1)}
+    walk = [{spec for spec, live in flags.items() if live}]
+    for t in range(2, T + 1):
+        jt = select_jt(scheme, t)
+        for spec in scheme.resetting_at(t):
+            flags[spec] = spec == jt
+        walk.append({spec for spec, live in flags.items() if live})
+    return walk
 
 
 class ConstantBase:

@@ -217,12 +217,12 @@ class TestComplexityAudit:
     @pytest.mark.parametrize("scheme_tag", ["lin", "log", "sub"])
     def test_counts_and_work_within_caps(self, scheme_tag):
         xs = np.random.default_rng(16).uniform(-1, 1, 256)
-        trace, scheme, _, _ = run_mixture(scheme_tag, "square", xs)
+        trace, scheme, loss, _ = run_mixture(scheme_tag, "square", xs)
         audit = complexity_audit(trace, scheme)
         assert audit.created_within_cap
         assert (trace.work <= trace.created).all()
         if scheme_tag == "lin":
-            assert audit.created == 256
+            assert dynamic_regret(trace, oracle_comparators(loss, xs, [256]), loss).created == 256
 
 
 class TestRestartOracle:

@@ -408,6 +408,9 @@ class TestCli:
         certs = [line for line in out.splitlines() if line.startswith("path certificate")]
         assert len(certs) == 6
         assert all(" T=256 " in line and "[ok]" in line for line in certs)
+        online = [line for line in out.splitlines() if line.startswith("bare step = run")]
+        assert len(online) == 6
+        assert all(" T=256 " in line and "bit for bit [ok]" in line for line in online)
 
     def test_sub_at_horizon_one_exits_0(self, tmp_path, capsys):
         assert main(["run", "--scheme", "sub", "--horizon", "1", "--out", str(tmp_path)]) == 0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ConstantBase, active_dispatch, default_base_name, dense_run
+from helpers import ConstantBase, active_dispatch, default_base_name, dense_run, live_walk
 from mixtrack.base import RunningMean, make_base
 from mixtrack.losses import SquareLoss, make_loss
 from mixtrack.mixture import Mixture, select_jt, transition_weight
@@ -108,7 +108,7 @@ class TestSelectJt:
 
 
 class TestAgainstDenseReference:
-    @pytest.mark.parametrize("scheme_tag", ALL_SCHEMES + ["dead", "tied"])
+    @pytest.mark.parametrize("scheme_tag", ALL_SCHEMES + ["dead", "tied", "twin"])
     @pytest.mark.parametrize("loss_name", ALL_LOSSES)
     def test_matches_dict_reference(self, scheme_tag, loss_name):
         # both modes on every calendar, and on the dead-copy and tied-restarter fixtures
@@ -179,6 +179,14 @@ class TestRandomLaddersAgainstDenseReference:
         ref_preds, ref_losses = dense_run(*fresh(), xs)
         np.testing.assert_allclose(trace.predictions, ref_preds, rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.step_losses, ref_losses, rtol=0, atol=1e-12)
+        # the live sets: run's counts and a bare step's copies, round by round, against the flag walk
+        walk = live_walk(fresh()[0], T + 1)
+        assert trace.live.tolist() == [len(live) for live in walk[:T]]
+        mix = Mixture(*fresh(), mode=mode)
+        for x, live in zip(xs, walk):
+            assert live_specs(mix) == live
+            mix.step(x)
+        assert live_specs(mix) == walk[T]
 
 
 class TestLazyEagerEquivalence:
@@ -259,13 +267,21 @@ def dead_scheme():
 
 
 def make_calendar(name, T):
-    """A shipped calendar for T rounds, or the dead-copy or the tied-restarter fixture."""
+    """A shipped calendar for T rounds, or the dead-copy, tied-restarter or twin-birth fixture."""
     if name == "dead":
         return dead_scheme()
     if name == "tied":
         # (4, 2) and (4, 6) restart together from round 6 on; the earlier start is J_t
         return _Copies((1, 1), (4, 2), (4, 6))
+    if name == "twin":
+        # rung 2 = 2 * 1 + 0 starts its copies at rounds 1 and 2: (1, 1) and (2, 1) are both born at round 1
+        return SubScheme(PeriodSequence([1, 2], [0, 2], [0, 0]))
     return make_scheme(name, horizon=T + 1)
+
+
+def live_specs(mix):
+    """The copies the engine holds live at its current round."""
+    return set(mix._specs_of(np.flatnonzero(mix.live_flags())))
 
 
 class _ScheduleOnly:
@@ -356,8 +372,32 @@ class TestOneRoundPath:
             n = eager.created
             assert lazy.created == n
             assert eager._w[:n].tobytes() == lazy._w[:n].tobytes()
-            assert eager._alive[:n].tobytes() == lazy._alive[:n].tobytes()
+            assert eager.live_flags().tobytes() == lazy.live_flags().tobytes()
             assert eager._rows[:n].tobytes() == lazy._rows[:n].tobytes()
+
+
+class TestCompiledLiveRows:
+    """The live rows the engine reads off its compiled calendar, against the flag walk of the definition."""
+
+    @pytest.mark.parametrize("loss_name", ALL_LOSSES)
+    @pytest.mark.parametrize("calendar", ["lin", "log", "sub", "dead", "tied", "twin"])
+    def test_live_rows_follow_the_flag_walk(self, calendar, loss_name):
+        T = 2**10
+        walk = live_walk(make_calendar(calendar, T), T + 1)
+        xs = stream_for(loss_name, T, seed=25)
+        mix = Mixture(make_calendar(calendar, T), make_loss(loss_name), make_base(default_base_name(loss_name)))
+        for t, x in enumerate(xs, start=1):
+            assert live_specs(mix) == walk[t - 1], t
+            assert mix.step(x).live == len(walk[t - 1]), t
+        assert live_specs(mix) == walk[T]
+        trace = Mixture(make_calendar(calendar, T), make_loss(loss_name), make_base(default_base_name(loss_name))).run(xs)
+        assert trace.live.tolist() == [len(live) for live in walk[:T]]
+
+    def test_twin_births_both_start_live(self):
+        mix = Mixture(make_calendar("twin", 4), make_loss("bernoulli"), make_base("kt"))
+        assert live_specs(mix) == {ExpertSpec(1, 1), ExpertSpec(2, 1)}
+        mix.step(1.0)  # round 2: (1, 1) restarts and (2, 2) is born; J_2 = (2, 2)
+        assert live_specs(mix) == {ExpertSpec(2, 1), ExpertSpec(2, 2)}
 
 
 class TestConstruction:
@@ -414,7 +454,7 @@ class _NaNMergeLoss(SquareLoss):
 class TestFailedStepChangesNothing:
     def snapshot(self, mix):
         n = mix.created
-        return (mix.t, n, mix.jt, mix._w[:n].tobytes(), mix._alive[:n].tobytes(), mix._rows[:n].tobytes(),
+        return (mix.t, n, mix.jt, mix._w[:n].tobytes(), mix.live_flags().tobytes(), mix._rows[:n].tobytes(),
                 sorted(mix.posterior().items()))
 
     @pytest.mark.parametrize("mode", ["eager", "lazy"])
@@ -456,7 +496,7 @@ def block_spans(mix, xs):
 
 def engine_state(mix):
     n = mix.created
-    return mix.t, n, mix.jt, mix._w[:n].tobytes(), mix._alive[:n].tobytes(), mix._rows[:n].tobytes()
+    return mix.t, n, mix.jt, mix._w[:n].tobytes(), mix.live_flags().tobytes(), mix._rows[:n].tobytes()
 
 
 _COLUMNS = (("outcomes", "outcome", np.float64), ("predictions", "prediction", np.float64),
