@@ -24,14 +24,17 @@ order, so a row's index is the copy's id.  The engine compiles the
 calendar's ``schedule`` for a horizon that doubles whenever a round
 passes it, with J_t's row for every round; a round no copy restarts on
 is a calendar defect, raised when its horizon is compiled.  From that,
-for a block of rounds at a time (at most ``_BLOCK_CELLS`` rounds x rows,
-within the compiled horizon), it tabulates what each round reads off the
-calendar: its live rows, as a slice when every open row is live and as
-an index view otherwise, with their shares 1/u and (u-1)/u of runtime u
-at the destination round already gathered; the rows open after it; and
-J_{t+1}'s row.  A calendar whose copies never restart and are each
-designated at birth (``lin``) has every row live from birth on: it gets
-no tables, and its rounds divide their shares from the copies' ages.
+for a block of rounds at a time, it tabulates what each round reads off
+the calendar: its live rows, as a slice when every open row is live and
+as an index view otherwise, with their shares 1/u and (u-1)/u of runtime
+u at the destination round already gathered; the rows open after it;
+and J_{t+1}'s row.  A block holds as many rounds as fit ``_BLOCK_CELLS``
+rounds x rows, within the compiled horizon, but a set of tables at least
+``_TABLE_ROUNDS``: the round that tabulates pays for every round of the
+set, so on a pool of any size at most one round in ``_TABLE_ROUNDS``
+does.  A calendar whose copies never restart and are each designated at
+birth (``lin``) has every row live from birth on: it gets no tables, and
+its rounds divide their shares from the copies' ages.
 
 The schedule and the outcomes fix everything else a round needs but the
 weights.  So ``run`` builds the statistics and predictions of a block of
@@ -142,6 +145,12 @@ class _Block(NamedTuple):
 
 
 _BLOCK_CELLS = 2**12  # rounds x rows that one block's tables hold
+_TABLE_ROUNDS = 2**7  # the least rounds one set of calendar tables holds
+
+
+def _block_rounds(rows: int) -> int:
+    """Rounds of ``rows`` open rows that one block holds."""
+    return _BLOCK_CELLS // rows
 
 
 def _live_rows(ts, period: np.ndarray, start: np.ndarray, jt_row: np.ndarray) -> np.ndarray:
@@ -320,17 +329,19 @@ class Mixture:
         self._w, self._rows = w, rows
         self._horizon = horizon
 
-    def _span(self, t0: int, rounds: int) -> tuple:
+    def _span(self, t0: int, rounds: int, least: int = 0) -> tuple:
         """The rounds from ``t0`` that one block holds, at most ``rounds``, and the rows open after its last.
 
-        A block holds at most ``_BLOCK_CELLS`` rounds x rows and ends within
-        the compiled horizon; the count is 0 where no round fits.
+        A block holds at most ``_BLOCK_CELLS`` rounds x rows, but at least
+        ``least`` rounds, and ends within the compiled horizon; the count
+        is 0 where no round fits.
         """
         start = self._start
-        size = min(rounds, self._horizon - t0, _BLOCK_CELLS // self.created)
+        size = min(rounds, self._horizon - t0, max(_block_rounds(self.created), least))
         m = int(start.searchsorted(t0 + size, "right"))
-        if size * m > _BLOCK_CELLS:
-            size = _BLOCK_CELLS // m
+        most = max(_block_rounds(m), least)  # the rows born within the block count too
+        if size > most:
+            size = most
             m = int(start.searchsorted(t0 + size, "right"))
         return size, m
 
@@ -339,13 +350,13 @@ class Mixture:
         return self._start.searchsorted(ts + 1, "right").tolist(), self._jt_row[ts + 1].tolist()
 
     def _tabulate(self, t0: int) -> None:
-        """Tabulate the calendar for the rounds from ``t0`` that one block holds, at least one.
+        """Tabulate the calendar for the rounds from ``t0`` that one block holds, at least ``_TABLE_ROUNDS``.
 
         Round t's entry is its live rows, their shares 1/u and (u-1)/u of
         runtime u at t+1, the rows open after it and J_{t+1}'s row.
         """
-        size, m = self._span(t0, self._horizon - t0)
-        ts = np.arange(t0, t0 + max(size, 1))
+        size, m = self._span(t0, self._horizon - t0, _TABLE_ROUNDS)
+        ts = np.arange(t0, t0 + size)
         period, start = self._period[:m], self._start[:m]
         live = _live_rows(ts[:, None], period, start, self._jt_row)
         u = ((ts[:, None] + 1 - start) % period + 1.0)[live]  # runtimes at the destination round, as floats
@@ -551,7 +562,7 @@ class Mixture:
         cols = [np.empty(xs.size, dtype=dt) for dt in _DTYPES]
         try:
             for i in range(xs.size):  # not xs.tolist(), which holds a float object per round
-                if self._block is None and 2 * self.created <= _BLOCK_CELLS:  # else no two rounds fit a block
+                if self._block is None and _block_rounds(self.created) >= 2:  # else no two rounds fit a block
                     self._open(xs[i:])
                 rec = self.step(xs[i])
                 for col, j in zip(cols, _STORED):

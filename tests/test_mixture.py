@@ -393,6 +393,24 @@ class TestCompiledLiveRows:
         trace = Mixture(make_calendar(calendar, T), make_loss(loss_name), make_base(default_base_name(loss_name))).run(xs)
         assert trace.live.tolist() == [len(live) for live in walk[:T]]
 
+    def test_a_wide_pool_tabulates_once_in_2_7_rounds(self):
+        # 113 rows by round 2^10: 2^12 cells hold only 36 of its rounds
+        T = 2**10
+        wide = lambda: SubScheme(PeriodSequence.from_params(1.0, 0.3, 1.2, T + 1))
+        walk = live_walk(wide(), T + 1)
+        xs = stream_for("bernoulli", T, seed=26)
+        mix = Mixture(wide(), make_loss("bernoulli"), make_base("kt"))
+        starts, tabulate = [], mix._tabulate
+        mix._tabulate = lambda t0: (starts.append(t0), tabulate(t0))
+        recs = [mix.step(x) for x in xs]
+        assert mix.created > 2**12 // 2**7
+        assert [r.live for r in recs] == [len(live) for live in walk[:T]]
+        # a set ends at 2^7 rounds or at the compiled horizon, which doubles from 1
+        assert len(starts) <= T // 2**7 + 11
+        ref = Mixture(wide(), make_loss("bernoulli"), make_base("kt")).run(xs)
+        assert np.array_equal([r.prediction for r in recs], ref.predictions)
+        assert np.array_equal([r.drift for r in recs], ref.drifts)
+
     def test_twin_births_both_start_live(self):
         mix = Mixture(make_calendar("twin", 4), make_loss("bernoulli"), make_base("kt"))
         assert live_specs(mix) == {ExpertSpec(1, 1), ExpertSpec(2, 1)}
