@@ -17,7 +17,11 @@ is the substitution rule, ``pointwise`` the loss and ``factor`` the
 weight factor exp(-alpha * loss).  The public ``substitute`` and
 ``evaluate`` validate their inputs and then call the kernels, so there
 is one arithmetic path; the mixture engine validates each round's
-inputs once itself and calls the kernels directly.
+inputs once itself and calls the kernels directly.  A family whose
+factors are bounded below on its domains declares that bound as
+``factor_floor``: the engine then updates the weights in place, while
+for a family without one (``ExpConcaveLoss``, whose loss may be
+infinite) it checks the round's mass before writing any weight.
 """
 
 from __future__ import annotations
@@ -119,6 +123,7 @@ class SquareLoss:
     mixability = 0.5
     pred_low = -1.0
     pred_high = 1.0
+    factor_floor = math.exp(-2.0)  # the least exp(-(theta - x)^2 / 2) on [-1, 1]^2
 
     validate_prediction = _validate_prediction
 
@@ -172,6 +177,7 @@ class BernoulliLogLoss:
     mixability = 1.0
     pred_low = BERNOULLI_MARGIN
     pred_high = 1.0 - BERNOULLI_MARGIN
+    factor_floor = BERNOULLI_MARGIN  # a factor is an in-domain probability of the outcome
 
     validate_prediction = _validate_prediction
 
@@ -310,7 +316,8 @@ def register_loss(name: str, factory: Callable) -> None:
     ``factory()`` must return an object with the loss interface above:
     name, mixability, pred_low/pred_high, the two validators, the
     checked ``evaluate`` and ``substitute``, the unchecked kernels they call,
-    ``pointwise(theta, x)`` and ``merge(thetas, weights)``, and ``factor``.
+    ``pointwise(theta, x)`` and ``merge(thetas, weights)``, and ``factor``;
+    optionally ``factor_floor``, a positive lower bound on every factor.
     The mixture engine calls only the validators and the kernels, and
     rejects a loss without kernels.  ``ExpConcaveLoss`` supplies all of
     this for an exp-concave family.

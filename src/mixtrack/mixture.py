@@ -32,9 +32,11 @@ and J_{t+1}'s row.  A block holds as many rounds as fit ``_BLOCK_CELLS``
 rounds x rows, within the compiled horizon, but a set of tables at least
 ``_TABLE_ROUNDS``: the round that tabulates pays for every round of the
 set, so on a pool of any size at most one round in ``_TABLE_ROUNDS``
-does.  A calendar whose copies never restart and are each designated at
-birth (``lin``) has every row live from birth on: it gets no tables, and
-its rounds divide their shares from the copies' ages.
+does.  A calendar that opens one copy a round and never restarts one
+(``lin``) has every row live from birth on and a newborn J_{t+1} every
+round, and gets no such tables: its rows' runtimes at round t+1 run t+1
+down to 2, so the compile also divides the shares 1/u and (u-1)/u for
+u = horizon+1 down to 1 once, and each round slices them.
 
 The schedule and the outcomes fix everything else a round needs but the
 weights.  So ``run`` builds the statistics and predictions of a block of
@@ -55,10 +57,13 @@ message.  A block checks its outcomes and predictions once, and ends
 before the first round that fails; that round raises as a bare step.
 The round then calls the loss's unchecked kernels (``merge``,
 ``pointwise``, ``factor``), so a step that raises leaves the mixture as
-it was; the one exception is a round whose factors leave no mass,
-which raises ``weight pool degenerated`` after writing the weights and
-rows.  ``step`` returns the round as a ``StepRecord`` whose fields
-follow the ``Trace`` columns; ``run`` calls ``step`` once per outcome.
+it was.  That holds for a round whose factors leave no mass, which
+raises ``weight pool degenerated``: a loss that declares a positive
+``factor_floor`` cannot reach it and updates the weights in place, any
+other routes them into a copy and checks the mass before it writes, and
+the rows take the outcome only after the check.  ``step`` returns the
+round as a ``StepRecord`` whose fields follow the ``Trace`` columns;
+``run`` calls ``step`` once per outcome.
 
 Both modes run one round path: every created row, dead or live, is
 predicted and updated; the weight arithmetic gathers the live rows, as
@@ -294,6 +299,8 @@ class Mixture:
         self.loss = loss
         self.base = base
         self.mode = mode
+        # a positive floor on every factor keeps mass in the pool, so a round may route in place
+        self._in_place = getattr(loss, "factor_floor", 0.0) > 0.0
 
         # one row per schedule row born so far: row index = copy id
         self._fresh = base.init_rows(1)
@@ -306,7 +313,8 @@ class Mixture:
 
         self._compile(1)
         born = int(self._start.searchsorted(1, "right"))
-        self._append(born, 1.0 / born)
+        self._w[:born] = 1.0 / born
+        self._append(born)
         self._jt = int(self._jt_row[1])
 
     # -- schedule, calendar tables and row storage -------------------------
@@ -320,9 +328,12 @@ class Mixture:
             raise RuntimeError(f"calendar defect: no copy restarts at round {empty[0] + 1}")
         self._jt_row = jt_row
         self._period, self._start = period, start
-        # the static live set: every row live from its birth on, which needs
-        # copies that never restart and are each J at their birth round
-        self._static = bool((period == NEVER).all() and _live_rows(start, period, start, jt_row).all())
+        # the static live set: one copy born a round and none restarting, so
+        # each is J at its birth and every row is live from its birth on
+        self._static = bool((period == NEVER).all() and (start == np.arange(1, start.size + 1)).all())
+        if self._static:  # the shares 1/u and (u-1)/u for u = horizon+1 down to 1
+            u = np.arange(horizon + 1, 0, -1, dtype=float)
+            self._inv, self._keep = 1.0 / u, (u - 1.0) / u
         n, cap = self.created, self._period.size
         w, rows = np.empty(cap), np.empty((cap, self._rows.shape[1]))
         w[:n], rows[:n] = self._w[:n], self._rows[:n]
@@ -370,10 +381,9 @@ class Mixture:
             a = b
         self._tab, self._tab_t0 = tab, t0
 
-    def _append(self, m: int, w: float) -> None:
-        """Open rows up to schedule row ``m``, base statistics fresh."""
+    def _append(self, m: int) -> None:
+        """Open rows up to schedule row ``m``, base statistics fresh; the caller sets their weights."""
         n = self.created
-        self._w[n:m] = w
         self._rows[n:m] = self.base.init_rows(m - n)
         self.created = m
 
@@ -431,14 +441,12 @@ class Mixture:
             loss.validate_outcome(x)
             if t + 1 > self._horizon:  # before any view of the rows is taken
                 self._compile(2 * self._horizon)
-        if self._static:  # every open row is live; runtimes at the destination round are age + 1
-            live = slice(0, n)
-            u = np.subtract(t + 2, self._start[:n], dtype=float)  # as floats, which divide faster
-            inv, keep = 1.0 / u, (u - 1.0) / u
-            # rows born at t+1: most rounds open none and need no search
-            start = self._start
-            born = n if n == start.size or start[n] > t + 1 else int(start.searchsorted(t + 1, "right"))
-            jt = int(self._jt_row[t + 1])
+        if self._static:
+            # every open row is live, and n = t: one row opens a round, so row n
+            # opens at t+1 and is J_{t+1}; the rows' runtimes at t+1 run t+1 down to 2
+            live, born, jt = slice(0, n), n + 1, n
+            a = self._horizon - t
+            inv, keep = self._inv[a : a + n], self._keep[a : a + n]
         else:
             j = t - self._tab_t0
             if j >= len(self._tab):
@@ -464,33 +472,42 @@ class Mixture:
         p = self._period[self._jt]
         jt_period = math.inf if p == NEVER else float(p)
 
-        # ingest: each live copy's weight takes its factor, every copy's statistics the outcome
-        wl *= loss.factor(th, x)
-        if blk is None:
-            self.base.update_rows(rows, x)
+        # ingest: each live copy's weight takes its factor; a loss whose factors
+        # have no positive floor may leave no mass, so it routes into a copy
+        in_place = self._in_place
+        if in_place:
+            wl *= loss.factor(th, x)
+        else:
+            wl = wl * loss.factor(th, x)
         work = wl.size if self.mode == "lazy" else n
 
         # advance: rows born at t+1 open with no mass; stayers keep (u-1)/u,
         # J_{t+1} takes the 1/u shares, and a restarting copy (u=1) keeps nothing
-        if born > n:
-            self._append(born, 0.0)
         inflow = float(np.add.reduce(wl * inv))
         wl *= keep
-        w = self._w[:born]
-        if not isinstance(live, slice):
+        w = self._w[:born] if in_place else self._w[:born].copy()
+        if born > n:
+            w[n:] = 0.0
+        if not (in_place and isinstance(live, slice)):
             w[live] = wl
         w[jt] = inflow
+        z = float(np.add.reduce(w))
+        if not z > 0.0:  # written so that NaN fails
+            raise RuntimeError("weight pool degenerated: no mass to route")
+        w /= z
+        if not in_place:
+            self._w[:born] = w
+
+        # every copy's statistics take the outcome, and J_{t+1}'s start fresh
+        if born > n:
+            self._append(born)
         if blk is None:
+            self.base.update_rows(rows, x)
             self._rows[jt] = self._fresh
         else:
             self._j += 1
             if self._j == len(blk.xs):
                 self._settle()
-
-        z = float(np.add.reduce(w))
-        if not z > 0.0:  # written so that NaN fails
-            raise RuntimeError("weight pool degenerated: no mass to route")
-        w /= z
         self._jt = jt
         self.t = t + 1
         return StepRecord(t, x, float(prediction), float(step_loss), jt_period, wl.size, n, work, math.log(z), map_id)

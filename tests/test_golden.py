@@ -90,6 +90,16 @@ GOLDEN = {
     ),
 }
 
+# (scheme, loss, mode, horizon) -> hashes of a run past 2^11 copies, which
+# ``lin`` steps one round at a time and compiles through 2^13; bernoulli
+# bytes hold under any dispatch
+GOLDEN_LONG = {
+    ("lin", "bernoulli", "eager", 2**12 + 1): (
+        "eb2df305bc3a6265d4ffa9e97c67462dac98f203cce4000b16bc162cc958286d",
+        "b8de3532509b879d3a58083b29aa9423d6efda93cf92611f1b00a5b2b4492e2e",
+    ),
+}
+
 # the square hashes without the AVX-512 targets, whose np.exp rounds differently
 _SQUARE_WITHOUT_AVX512 = {
     ("lin", "square", "eager"): (
@@ -129,12 +139,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def golden_hashes(scheme, loss, mode, out_dir):
+def golden_hashes(scheme, loss, mode, out_dir, horizon=256):
     stream, params = STREAM[loss]
     cfg = ExperimentConfig(
         scheme=scheme,
         loss=loss,
-        horizon=256,
+        horizon=horizon,
         seed=11,
         mode=mode,
         stream=stream,
@@ -167,6 +177,11 @@ def test_outputs_match_golden_hashes(scheme, loss, mode, tmp_path):
     assert golden_hashes(scheme, loss, mode, tmp_path) == golden_for(fingerprint)[scheme, loss, mode], (
         _pinned_message(fingerprint)
     )
+
+
+@pytest.mark.parametrize("scheme, loss, mode, horizon", sorted(GOLDEN_LONG))
+def test_long_outputs_match_golden_hashes(scheme, loss, mode, horizon, tmp_path):
+    assert golden_hashes(scheme, loss, mode, tmp_path, horizon) == GOLDEN_LONG[scheme, loss, mode, horizon]
 
 
 # Prints the dispatch fingerprint, then the square cases' hashes as JSON

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ConstantBase, active_dispatch, default_base_name, dense_run, live_walk
-from mixtrack.base import RunningMean, make_base
-from mixtrack.losses import SquareLoss, make_loss
+from mixtrack.base import KTEstimator, RunningMean, make_base
+from mixtrack.losses import BERNOULLI_MARGIN, ExpConcaveLoss, SquareLoss, make_loss
 from mixtrack.mixture import Mixture, select_jt, transition_weight
 from mixtrack.schemes import (
     ExpertSpec,
@@ -469,6 +469,18 @@ class _NaNMergeLoss(SquareLoss):
         return math.nan if self.broken else super().merge(th, w)
 
 
+class _InfAtOneKT(KTEstimator):
+    loss_family = "inf-at-one"
+
+
+def _inf_at_one_loss():
+    """Log loss on outcome 0 and an infinite loss on outcome 1, which leaves every factor 0: it declares no floor."""
+    def eval_fn(th, x):
+        return -np.log1p(-np.asarray(th)) if x == 0.0 else np.full(np.shape(th), math.inf)
+
+    return ExpConcaveLoss("inf-at-one", 1.0, eval_fn, BERNOULLI_MARGIN, 1.0 - BERNOULLI_MARGIN)
+
+
 class TestFailedStepChangesNothing:
     def snapshot(self, mix):
         n = mix.created
@@ -496,6 +508,29 @@ class TestFailedStepChangesNothing:
         assert np.array_equal([r.prediction for r in recs], ref.predictions)
         assert np.array_equal([r.step_loss for r in recs], ref.step_losses)
         assert sum(r.work for r in recs) == ref.total_work
+
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    def test_a_spent_pool_raises_before_any_write(self, mode):
+        # every factor of a round on 1.0 is 0, so no mass is left to route
+        def fresh():
+            return Mixture(LogScheme(), _inf_at_one_loss(), _InfAtOneKT(), mode=mode)
+
+        mix = fresh()
+        recs = [mix.step(0.0) for _ in range(5)]
+        before = self.snapshot(mix)
+        with pytest.raises(RuntimeError, match="weight pool degenerated"):
+            mix.step(1.0)
+        assert self.snapshot(mix) == before
+        recs += [mix.step(0.0) for _ in range(10)]
+        ref = fresh().run(np.zeros(15))
+        assert np.array_equal([r.prediction for r in recs], ref.predictions)
+        assert np.array_equal([r.step_loss for r in recs], ref.step_losses)
+        assert np.array_equal([r.drift for r in recs], ref.drifts)
+        # the same round inside one of run's blocks
+        mix = fresh()
+        with pytest.raises(RuntimeError, match="weight pool degenerated"):
+            mix.run([0.0] * 5 + [1.0, 0.0])
+        assert self.snapshot(mix) == before
 
 
 def block_spans(mix, xs):
@@ -602,6 +637,32 @@ class TestBlockedRun:
         assert engine_state(mix) == engine_state(ref)
         assert mix.t == k
         assert sorted(mix.posterior().items()) == sorted(ref.posterior().items())
+
+
+class TestLinAcrossCompiles:
+    """``lin`` slices its shares from tables compiled with the horizon, past 2^11 copies and across compiles."""
+
+    @pytest.mark.parametrize("loss_name", ALL_LOSSES)
+    @pytest.mark.parametrize("T", [2**11 + 1, 2**12 + 3])
+    def test_run_equals_step_loop_and_a_split_run(self, T, loss_name):
+        xs = stream_for(loss_name, T, seed=27)
+        ref = build("lin", loss_name)
+        recs = [ref.step(x) for x in xs]
+        trace = build("lin", loss_name).run(xs)
+        for col, field, dtype in _COLUMNS:
+            assert getattr(trace, col).tobytes() == np.array([getattr(r, field) for r in recs], dtype=dtype).tobytes()
+        # the compile at round 2^k, to 2^(k+1), falls inside the continued part
+        a = 3 * T // 4
+        mix = build("lin", loss_name)
+        first = mix.run(xs[:a])
+        rec = mix.step(xs[a])
+        horizon = mix._horizon
+        rest = mix.run(xs[a + 1 :])
+        assert mix._horizon == 2 * horizon
+        for col, field, dtype in _COLUMNS:
+            got = np.concatenate([getattr(first, col), np.array([getattr(rec, field)], dtype=dtype), getattr(rest, col)])
+            assert got.tobytes() == getattr(trace, col).tobytes(), col
+        assert engine_state(mix) == engine_state(ref)
 
 
 def test_trace_stores_36_bytes_a_round_below_2_16_copies():
