@@ -177,7 +177,7 @@ class BernoulliLogLoss:
     mixability = 1.0
     pred_low = BERNOULLI_MARGIN
     pred_high = 1.0 - BERNOULLI_MARGIN
-    factor_floor = BERNOULLI_MARGIN  # a factor is an in-domain probability of the outcome
+    factor_floor = BERNOULLI_MARGIN  # a factor is an in-domain probability of the outcome, up to rounding
 
     validate_prediction = _validate_prediction
 
@@ -317,7 +317,8 @@ def register_loss(name: str, factory: Callable) -> None:
     name, mixability, pred_low/pred_high, the two validators, the
     checked ``evaluate`` and ``substitute``, the unchecked kernels they call,
     ``pointwise(theta, x)`` and ``merge(thetas, weights)``, and ``factor``;
-    optionally ``factor_floor``, a positive lower bound on every factor.
+    optionally ``factor_floor``, a positive lower bound on every factor up
+    to rounding; the engine reads only that it is positive.
     The mixture engine calls only the validators and the kernels, and
     rejects a loss without kernels.  ``ExpConcaveLoss`` supplies all of
     this for an exp-concave family.

@@ -273,6 +273,8 @@ class Mixture:
         predictions against [pred_low, pred_high] and calls
         ``validate_prediction`` on a round that fails, for its message;
         then only the kernels.  A loss without the kernels is rejected.
+        A loss may declare ``factor_floor`` > 0, a lower bound on its
+        factors, so that its rounds update the weights in place.
     base : base learner
         Must declare ``loss_family`` matching ``loss.name`` and expose the
         columnar interface (``init_rows``, ``predict_rows``,
